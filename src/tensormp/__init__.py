@@ -41,7 +41,6 @@ from .sequences import (
     canonicalize,
     degree,
     enumerate_canonical,
-    enumerate_partitions,
     is_canonical,
     is_crossing,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "density",
     "dump_graph",
     "enumerate_canonical",
-    "enumerate_partitions",
     "esd",
     "exact_mean_trace_moment",
     "falling_factorial",

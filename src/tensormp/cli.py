@@ -6,11 +6,11 @@ Subcommands
     simulate  run Monte Carlo trials; emit histogram, moments, JSON report
     mplaw     emit a density/CDF table for the limiting law
 
-Every command is a pure function of its configuration: identical flags
-and seed produce byte-identical output files (wall-clock timing goes to
-stdout only). Output file names embed a short hash of the configuration
-so distinct experiments never collide; rerunning the same configuration
-requires --force to overwrite.
+Every command is a pure function of its configuration: for a fixed BLAS
+thread setting, identical flags and seed produce byte-identical output
+files (wall-clock timing goes to stdout only). Output file names embed
+a short hash of the configuration so distinct experiments never collide;
+rerunning the same configuration requires --force to overwrite.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure,
 4 verification failure.
@@ -33,8 +33,6 @@ import numpy as np
 from . import combinatorics as comb
 from . import graphs, moments, mplaw, sequences, simulation
 from .errors import NumericalError
-
-P_CAP = sequences.P_CAP
 
 
 class UsageError(Exception):
@@ -306,12 +304,7 @@ def _exhaustive_mean_trace(n, k, m, p, taus, alphabet):
     count = 0
     for bits in itertools.product(alphabet, repeat=n * m * k):
         xs = np.array(bits, dtype=complex).reshape(m, k, n) / math.sqrt(n)
-        M = np.zeros((nk, nk), dtype=complex)
-        for a in range(m):
-            Y = xs[a, 0]
-            for l in range(1, k):
-                Y = np.kron(Y, xs[a, l])
-            M += taus[a] * np.outer(Y, Y.conj())
+        M = simulation.dense_matrix(xs, taus)
         total += float(np.trace(np.linalg.matrix_power(M, p)).real) / nk
         count += 1
     return total / count
@@ -388,8 +381,8 @@ _SUITE_DEFAULT_P = {"sequences": 7, "graphs": 6, "stirling": 10, "moments": 8}
 def cmd_verify(args) -> int:
     _apply_config_file(args)
     p_max = args.p_max if args.p_max is not None else _SUITE_DEFAULT_P[args.suite]
-    if not 1 <= p_max <= P_CAP:
-        raise UsageError(f"--p-max {p_max} outside 1..{P_CAP}")
+    if not 1 <= p_max <= sequences.P_CAP:
+        raise UsageError(f"--p-max {p_max} outside 1..{sequences.P_CAP}")
     t0 = time.perf_counter()
     claims = _SUITES[args.suite](p_max)
     elapsed = time.perf_counter() - t0
@@ -418,8 +411,8 @@ def cmd_moments(args) -> int:
     if args.c <= 0:
         raise UsageError(f"--c must be positive, got {args.c}")
     p_max = args.p_max if args.p_max is not None else 4
-    if not 1 <= p_max <= P_CAP:
-        raise UsageError(f"--p-max {p_max} outside 1..{P_CAP}")
+    if not 1 <= p_max <= sequences.P_CAP:
+        raise UsageError(f"--p-max {p_max} outside 1..{sequences.P_CAP}")
     coeffs, mom, tau_label = _parse_tau(args.tau, args.m)
     tau = moments.TauModel(coefficients=coeffs, moments=mom)
     dims = (args.n, args.k, args.m)
@@ -491,8 +484,8 @@ def cmd_simulate(args) -> int:
         )
     c_ref = args.c if args.c is not None else m / nk
     p_max = args.p_max if args.p_max is not None else 4
-    if not 1 <= p_max <= P_CAP:
-        raise UsageError(f"--p-max {p_max} outside 1..{P_CAP}")
+    if not 1 <= p_max <= sequences.P_CAP:
+        raise UsageError(f"--p-max {p_max} outside 1..{sequences.P_CAP}")
     trials = args.trials if args.trials is not None else 10
     if trials < 1:
         raise UsageError(f"--trials must be positive, got {trials}")
@@ -671,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a module invariant suite")
     sp.add_argument("suite", choices=sorted(_SUITES))
-    sp.add_argument("--p-max", type=int, default=None, help=f"sequence length bound (<= {P_CAP})")
+    sp.add_argument("--p-max", type=int, default=None, help=f"sequence length bound (<= {sequences.P_CAP})")
     common(sp)
     sp.set_defaults(func=cmd_verify)
 
@@ -700,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: cpu count; results never depend on it)",
+        help="worker threads (default: cpu count; for a fixed BLAS thread setting results do not depend on it)",
     )
     sp.add_argument("--bins", type=int, default=60, help="histogram bins (default 60)")
     sp.add_argument(

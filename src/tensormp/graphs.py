@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .sequences import Canon, canonicalize, is_crossing
+from .sequences import Canon, canonicalize, enumerate_canonical, is_crossing
 
 EdgeKey = tuple[int, int]  # (alpha-value, i-value)
 
@@ -172,12 +172,11 @@ def paired_partners(alpha: Iterable[int], r: int) -> list[Canon]:
     """All i-sequences with r distinct values whose walk graph is paired.
 
     Constructed as images of the tree partner under block-label maps: for
-    each partition of {1, ..., p+1-s} into r blocks, relabel the partner's
-    values by their block. The image count is S(p+1-s, r); r beyond
-    p+1-s gives an empty list. Crossing alpha raises ValueError.
+    each partition of {1, ..., p+1-s} into r blocks (a canonical sequence
+    of that length with r values), relabel the partner's values by their
+    block. The image count is S(p+1-s, r); r beyond p+1-s gives an empty
+    list. Crossing alpha raises ValueError.
     """
-    from .sequences import enumerate_partitions
-
     alpha = canonicalize(alpha)
     if not 1 <= r <= len(alpha):
         raise ValueError(f"r={r} outside 1..{len(alpha)}")
@@ -186,7 +185,7 @@ def paired_partners(alpha: Iterable[int], r: int) -> list[Canon]:
         raise ValueError(f"alpha={alpha} is crossing; paired partners need a tree partner")
     q = max(base)  # p + 1 - s
     out = []
-    for pi in enumerate_partitions(q, r):
+    for pi in enumerate_canonical(q, r):
         # base lists values in first-appearance order and blocks are
         # numbered by least element, so the image is already canonical
         out.append(tuple(pi[v - 1] for v in base))

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 from .combinatorics import c1_count, falling_factorial
 from .graphs import build_graph
-from .sequences import degree, enumerate_canonical, enumerate_partitions, is_crossing
+from .sequences import degree, enumerate_canonical, is_crossing
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def _injection_sum(degrees: Sequence[int], coeffs: Sequence[float]) -> Fraction:
         return power_sums[d]
 
     total = Fraction(0)
-    for pi in enumerate_partitions(s):
+    for pi in enumerate_canonical(s):  # set partitions as block-label sequences
         blocks: dict[int, list[int]] = {}
         for pos, lab in enumerate(pi):
             blocks.setdefault(lab, []).append(pos)

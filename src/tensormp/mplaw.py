@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-
-from .errors import NumericalError
 
 
 @dataclass(frozen=True)
@@ -105,31 +102,17 @@ def continuous_cdf_sorted(xs: np.ndarray, c: float, order: int = 96) -> np.ndarr
     return out
 
 
-def cdf(x: float, c: float, quad_tol: float = 1e-10) -> float:
-    """Distribution function, atom at zero included; adaptive quadrature.
+def cdf(x: float, c: float) -> float:
+    """Distribution function at one point, atom at zero included.
 
-    Right-continuous: cdf(0, c) = 1 - c for c < 1. Raises NumericalError
-    when the quadrature cannot certify quad_tol.
+    A scalar view of continuous_cdf_sorted. Right-continuous:
+    cdf(0, c) = 1 - c for c < 1.
     """
-    law = MPLaw(c)
     x = float(x)
     if x < 0.0:
         return 0.0
-    head = law.atom
-    if x <= law.a:
-        return head
-    theta_hi = float(_theta_of_x(law, np.array([x]))[0])
-    val, err = integrate.quad(
-        lambda t: float(_integrand_theta(law, np.array([t]))[0]),
-        0.0,
-        theta_hi,
-        epsabs=quad_tol,
-        epsrel=quad_tol,
-        limit=200,
-    )
-    if err > 50 * quad_tol:
-        raise NumericalError(f"cdf quadrature error {err:.2e} exceeds tolerance")
-    return min(1.0, head + val)
+    cont = float(continuous_cdf_sorted(np.array([x]), c)[0])
+    return min(1.0, MPLaw(c).atom + cont)
 
 
 def quadrature_moment(p: int, c: float, order: int = 96) -> float:

@@ -111,14 +111,3 @@ def degree(alpha: Iterable[int], t: int) -> int:
     """Number of positions holding value t; 0 for t outside the value set."""
     return sum(1 for v in alpha if v == t)
 
-
-def enumerate_partitions(n: int, q: int | None = None) -> list[Canon]:
-    """Set partitions of {1,...,n} as canonical block-label sequences.
-
-    Position j holds the label of the block containing j, blocks numbered
-    by least element. This is the same object as a canonical sequence of
-    length n, so the count is Bell(n), or S(n, q) with the block-count
-    filter. Kept as a separate entry point because callers using it mean
-    partitions, not index sequences.
-    """
-    return enumerate_canonical(n, q)

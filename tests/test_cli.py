@@ -1,12 +1,17 @@
 """Exercise the command line through main() in-process.
 
 Exit-code contract: 0 success, 2 usage, 3 numerical, 4 verification.
+One test starts a fresh interpreter to inspect what the import loads.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tensormp
 from tensormp.cli import main
 
 
@@ -201,3 +206,18 @@ def test_mplaw_writes_file(tmp_path, capsys):
     text = files[0].read_text()
     assert text.startswith("# config=")
     assert "x,pdf,cdf" in text
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; the program must not import it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tensormp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys, tensormp.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

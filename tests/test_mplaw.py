@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.optimize import brentq
 
 import tensormp as t
-from tensormp.mplaw import MPLaw, continuous_cdf_sorted, law_table_csv
+from tensormp.mplaw import (
+    MPLaw,
+    _integrand_theta,
+    _theta_of_x,
+    continuous_cdf_sorted,
+    law_table_csv,
+)
 from tensormp.simulation import SpectrumSample
 
 
@@ -17,6 +24,26 @@ def _sample(nonzero, zeros=0):
         seed=0,
         dims=(0, 0, 0),
     )
+
+
+def quad_cdf(x, c, tol=1e-10):
+    """Reference CDF by adaptive quadrature in theta, atom included."""
+    law = MPLaw(c)
+    if x < 0.0:
+        return 0.0
+    if x <= law.a:
+        return law.atom
+    theta_hi = float(_theta_of_x(law, np.array([x]))[0])
+    val, err = integrate.quad(
+        lambda th: float(_integrand_theta(law, np.array([th]))[0]),
+        0.0,
+        theta_hi,
+        epsabs=tol,
+        epsrel=tol,
+        limit=200,
+    )
+    assert err <= 50 * tol
+    return min(1.0, law.atom + val)
 
 
 def test_law_parameters():
@@ -63,13 +90,16 @@ def test_cdf_monotone():
 
 
 def test_continuous_cdf_matches_scalar_cdf():
+    # the Gauss-Legendre path, vector and scalar, against adaptive quad
     for c in (0.25, 1.0, 3.0):
         law = MPLaw(c)
         xs = np.linspace(law.a, law.b, 41)
         vec = continuous_cdf_sorted(xs, c)
         atom = law.atom
         for x, v in zip(xs, vec):
-            assert v + atom == pytest.approx(t.cdf(x, c), abs=1e-9)
+            want = quad_cdf(x, c)
+            assert v + atom == pytest.approx(want, abs=1e-9)
+            assert t.cdf(x, c) == pytest.approx(want, abs=1e-9)
 
 
 def test_quadrature_moments_match_narayana():

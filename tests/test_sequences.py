@@ -10,7 +10,6 @@ from tensormp import (
     canonicalize,
     degree,
     enumerate_canonical,
-    enumerate_partitions,
     is_canonical,
     is_crossing,
     stirling2,
@@ -122,9 +121,3 @@ def test_degree():
         for a in enumerate_canonical(p):
             assert sum(degree(a, t) for t in range(1, max(a) + 1)) == p
 
-
-def test_enumerate_partitions_matches_canonical():
-    assert len(enumerate_partitions(4, 2)) == stirling2(4, 2) == 7
-    for n in range(1, 7):
-        for q in range(1, n + 1):
-            assert enumerate_partitions(n, q) == enumerate_canonical(n, q)

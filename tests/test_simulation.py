@@ -185,3 +185,39 @@ def test_phase_rotation_invariance_of_gram_moments():
     m1 = t.trace_moments(G1, tau, 4, 9)
     m2 = t.trace_moments(G2, tau, 4, 9)
     assert m1 == pytest.approx(m2, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, n, k, c, signed",
+    [
+        ("phase", 3, 3, 0.5, False),
+        ("rademacher", 3, 3, 2.0, False),
+        ("rademacher", 3, 3, 2.0, True),
+        ("roots:4", 4, 2, 0.75, False),
+    ],
+)
+def test_run_trials_moments_match_matrix_power_oracle(spec, n, k, c, signed):
+    # run_trials reads moments off the eigenvalues; trace_moments reaches
+    # the same numbers by matrix powers of the regenerated Gram matrix
+    nk = n**k
+    m = round(c * nk)
+    tau = np.linspace(-1.0, 2.0, m) if signed else np.ones(m)
+    d = EntryDistribution.parse(spec)
+    r = t.run_trials(n, k, m, d, tau, 6, 3, 11, c=c)
+    for o in r.outcomes:
+        G = t.gram_matrix(t.sample_base_vectors(n, k, m, d, 11, trial=o.trial))
+        want = t.trace_moments(G, tau, 6, nk)
+        assert o.sample.trace_moments == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_ks_for_constant_tau_is_scale_free():
+    # tau = v scales the spectrum by v; KS is measured after undoing it
+    m = round(0.5 * 6**4)
+    r1 = t.run_trials(6, 4, m, t.PHASE, (1.0,) * m, 2, 2, 7, c=0.5)
+    r2 = t.run_trials(6, 4, m, t.PHASE, (2.0,) * m, 2, 2, 7, c=0.5)
+    assert r2.ks_values == pytest.approx(r1.ks_values, rel=0, abs=1e-12)
+    assert r1.mean_ks < 0.05
+    for p in (1, 2):
+        assert r2.moment_means[p - 1] == pytest.approx(
+            2.0**p * r1.moment_means[p - 1], rel=1e-12
+        )
