@@ -1,0 +1,276 @@
+"""The claims ``tensormp verify`` checks, each stated once.
+
+Each claim is a step of the moment-method proof checked against brute
+force. ``tensormp verify <suite>`` runs a suite at its default p_max; the
+tests run the same claims at their stated ranges, passing wider grids as
+keyword arguments. The brute-force oracles are defined here, once.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterable
+
+import numpy as np
+
+from . import combinatorics as comb
+from . import graphs, moments, mplaw, sequences, simulation
+
+#: p_max of ``tensormp verify <suite>`` when --p-max is not given.
+DEFAULT_P_MAX = {"sequences": 7, "graphs": 6, "stirling": 10, "moments": 8}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A statement and its check; ``{p}`` in scope is min(p_max, cap)."""
+
+    suite: str
+    name: str
+    scope: str
+    statement: str
+    check: Callable[..., Iterable]
+    cap: int
+
+    def label(self, p_max: int) -> str:
+        return f"{self.name} {self.scope.format(p=min(p_max, self.cap))}"
+
+    def run(self, p_max: int, **grid):
+        """The first counterexample up to min(p_max, cap), or None."""
+        return next(iter(self.check(min(p_max, self.cap), **grid)), None)
+
+
+#: Every claim by name, grouped by suite in report order.
+CLAIMS: dict[str, Claim] = {}
+
+
+def _claim(suite, name, scope, statement, cap=sequences.P_CAP):
+    def register(check):
+        CLAIMS[name] = Claim(suite, name, scope, statement, check, cap)
+        return check
+    return register
+
+
+def _sequences(p_max: int, noncrossing: bool = False):
+    for p in range(1, p_max + 1):
+        for a in sequences.enumerate_canonical(p):
+            if not (noncrossing and sequences.is_crossing(a)):
+                yield a
+
+
+def _paired(i_seq, alpha) -> bool:
+    return graphs.classify(graphs.build_graph(i_seq, alpha)) is graphs.GraphClass.PAIRED
+
+
+# --------------------------------------------------------------- oracles
+
+def crossing_by_quartic_scan(alpha) -> bool:
+    """Positions j1<j2<j3<j4 hold a, b, a, b with a != b."""
+    for j1, j2, j3, j4 in itertools.combinations(range(len(alpha)), 4):
+        if alpha[j1] == alpha[j3] != alpha[j2] == alpha[j4]:
+            return True
+    return False
+
+
+def brute_partner_search(alpha) -> list:
+    """Every balanced tree partner of alpha, by testing each candidate."""
+    p, s = len(alpha), max(alpha)
+    return [i for i in sequences.enumerate_canonical(p, p + 1 - s) if graphs.is_delta1(i, alpha)]
+
+
+def stirling_explicit(n: int, k: int) -> Fraction:
+    """S(n, k) by the alternating sum (1/k!) sum_i (-1)^(k-i) C(k, i) i^n."""
+    num = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
+    return Fraction(num, math.factorial(k))
+
+
+def exhaustive_mean_trace(n: int, k: int, m: int, p: int, taus, alphabet) -> float:
+    """(1/n^k) Tr M^p averaged over every assignment of entries from alphabet.
+
+    Builds all len(alphabet)^(n m k) matrices densely; tiny sizes only.
+    """
+    total = 0.0
+    for entries in itertools.product(alphabet, repeat=n * m * k):
+        xs = np.array(entries, dtype=complex).reshape(m, k, n) / math.sqrt(n)
+        M = simulation.dense_matrix(xs, taus)
+        total += float(np.trace(np.linalg.matrix_power(M, p)).real) / n**k
+    return total / len(alphabet) ** (n * m * k)
+
+
+# ------------------------------------------------------------- sequences
+
+@_claim("sequences", "canonical counts", "p<={p}", "Bell(p) in all, S(p,s) with s values")
+def _canonical_counts(p_max):
+    for p in range(1, p_max + 1):
+        for s in (None, *range(1, p + 1)):
+            got = len(sequences.enumerate_canonical(p, s))
+            want = comb.bell(p) if s is None else comb.stirling2(p, s)
+            if got != want:
+                yield f"p={p} s={s} enumerated={got} formula={want}"
+
+
+@_claim("sequences", "canonical order", "p<={p}", "canonicalize(a) == a, lexicographic order")
+def _canonical_order(p_max):
+    for p in range(1, p_max + 1):
+        seqs = sequences.enumerate_canonical(p)
+        yield from (f"alpha={a} is not canonical" for a in seqs if not sequences.is_canonical(a))
+        if seqs != sorted(seqs):
+            yield f"p={p} enumeration out of order"
+
+
+@_claim("sequences", "degree sums", "p<={p}", "sum_t degree = p")
+def _degree_sums(p_max):
+    for a in _sequences(p_max):
+        if sum(sequences.degree(a, t) for t in range(1, max(a) + 1)) != len(a):
+            yield f"alpha={a}"
+
+
+@_claim("sequences", "crossing scan agreement", "p<={p}", "is_crossing = quartic scan", cap=8)
+def _crossing_scan(p_max):
+    for a in _sequences(p_max):
+        if sequences.is_crossing(a) != crossing_by_quartic_scan(a):
+            yield f"alpha={a}"
+
+
+# ---------------------------------------------------------------- graphs
+
+@_claim("graphs", "non-crossing counts", "p<={p}", "N(p,s) = C(p,s-1) C(p,s)/p, total Catalan(p)")
+def _noncrossing_counts(p_max):
+    for p in range(1, p_max + 1):
+        noncross = [a for a in sequences.enumerate_canonical(p) if not sequences.is_crossing(a)]
+        for s in range(1, p + 1):
+            got = sum(1 for a in noncross if max(a) == s)
+            if got != comb.c1_count(s, p):
+                yield f"p={p} s={s} enumerated={got} formula={comb.c1_count(s, p)}"
+        catalan = math.comb(2 * p, p) // (p + 1)
+        if len(noncross) != catalan:
+            yield f"p={p} enumerated={len(noncross)} Catalan={catalan}"
+
+
+@_claim("graphs", "tree partner uniqueness", "p<={p}", "one iff non-crossing, the constructed one")
+def _tree_partner(p_max):
+    for a in _sequences(p_max):
+        found, partner = brute_partner_search(a), graphs.delta1_partner(a)
+        crossing = sequences.is_crossing(a)
+        if (partner is None) != crossing or found != ([] if crossing else [partner]):
+            yield f"alpha={a} found={found} partner={partner}"
+
+
+@_claim("graphs", "paired partner counts", "p<={p}", "constructed = classified, S(p+1-s, r) each")
+def _paired_counts(p_max):
+    for a in _sequences(p_max, noncrossing=True):
+        p, s = len(a), max(a)
+        paired = sorted(i for i in sequences.enumerate_canonical(p) if _paired(i, a))
+        for r in range(1, p + 1):
+            brute = [i for i in paired if max(i) == r]
+            image = graphs.paired_partners(a, r)
+            if image != brute or len(brute) != comb.stirling2(p + 1 - s, r):
+                yield f"alpha={a} r={r} constructed={image} classified={brute}"
+
+
+@_claim("graphs", "dichotomy", "p<={p}", "paired or single only", cap=6)
+def _dichotomy(p_max):
+    for a in _sequences(p_max, noncrossing=True):
+        for i in sequences.enumerate_canonical(len(a)):
+            if graphs.classify(graphs.build_graph(i, a)) is graphs.GraphClass.OTHER:
+                yield f"alpha={a} i={i}"
+
+
+@_claim("graphs", "tree partner diagnostics", "p<={p}", "no consecutive pairs")
+def _partner_diagnostics(p_max):
+    for a in _sequences(p_max, noncrossing=True):
+        g = graphs.build_graph(graphs.delta1_partner(a), a)
+        if graphs.count_consecutive_violations(g) is not None:
+            yield f"alpha={a}"
+
+
+# -------------------------------------------------------------- stirling
+
+@_claim("stirling", "recurrence vs explicit sum", "n<=20", "exact equality for k <= n+1")
+def _explicit_sum(p_max):
+    for n in range(21):
+        for k in range(n + 2):
+            if comb.stirling2(n, k) != stirling_explicit(n, k):
+                yield f"n={n} k={k} recurrence={comb.stirling2(n, k)}"
+
+
+@_claim("stirling", "partition collapse", "q<={p}", "sum_r n^(r) S(q,r) = n^q, 0 <= n <= 10", cap=10)
+def _partition_collapse(p_max):
+    # the falling-factorial identity; it removes the free i-sum of the moment expansion
+    for q in range(1, p_max + 1):
+        for n in range(11):
+            terms = (comb.falling_factorial(n, r) * comb.stirling2(q, r) for r in range(1, q + 1))
+            if sum(terms) != n**q:
+                yield f"n={n} q={q}"
+
+
+@_claim("stirling", "bell totals", "n<=14", "bell = sum_k S(n,k)")
+def _bell_totals(p_max):
+    for n in range(15):
+        if comb.bell(n) != sum(comb.stirling2(n, k) for k in range(n + 1)):
+            yield f"n={n}"
+
+
+@_claim("stirling", "narayana symmetry", "p<=11", "N(p,s) = N(p,p+1-s)")
+def _narayana_symmetry(p_max):
+    for p in range(1, 12):
+        for s in range(1, p + 1):
+            if comb.c1_count(s, p) != comb.c1_count(p + 1 - s, p):
+                yield f"p={p} s={s}"
+
+
+# --------------------------------------------------------------- moments
+
+@_claim("moments", "limit equals narayana sum", "p<={p}", "float-exact at c = 0.1, 0.5, 1, 2")
+def _limit_narayana(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
+    tau = moments.TauModel.constant(1.0)
+    for c in cs:
+        for p in range(1, p_max + 1):
+            got, want = moments.limiting_moment(p, c, tau), moments.mp_moment(p, c)
+            if got != want:
+                yield f"c={c} p={p} limit={got!r} narayana={want!r}"
+
+
+@_claim("moments", "quadrature moments", "p<={p}", "abs error <= 1e-6 at c = 0.1, 0.5, 1, 2", cap=6)
+def _quadrature(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
+    for c in cs:
+        for p in range(1, p_max + 1):
+            got, want = mplaw.quadrature_moment(p, c), moments.mp_moment(p, c)
+            if abs(got - want) > 1e-6:
+                yield f"c={c} p={p} quadrature={got!r} narayana={want!r}"
+
+
+@_claim("moments", "exact oracle vs exhaustive", "p<={p}", "abs error <= 1e-12 at n=m=2", cap=3)
+def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
+    # a case is (entry law, tau coefficients, tensor legs k); n = 2, m = len(tau)
+    for spec, taus, ks in cases:
+        dist = simulation.EntryDistribution.parse(spec)
+        q = 2 if dist.kind == "rademacher" else dist.q
+        alphabet = (1.0, -1.0) if q == 2 else tuple(np.exp(2j * np.pi * np.arange(q) / q))
+        tau, rule = moments.TauModel(coefficients=taus), dist.mixed_moment_rule()
+        for k in ks:
+            for p in range(1, p_max + 1):
+                exact = moments.exact_mean_trace_moment(2, k, len(taus), p, tau, rule)
+                brute = exhaustive_mean_trace(2, k, len(taus), p, taus, alphabet)
+                if abs(exact - brute) > 1e-12:
+                    yield f"{spec} tau={taus} k={k} p={p} exact={exact!r} exhaustive={brute!r}"
+
+
+@_claim("moments", "phase weight iff paired", "p<={p}", "nonzero on paired graphs only", cap=5)
+def _phase_weight(p_max):
+    phase = moments.uniform_phase_rule()
+    for a in _sequences(p_max):
+        for i in sequences.enumerate_canonical(len(a)):
+            if (moments.graph_expectation_weight(i, a, phase) != 0) != _paired(i, a):
+                yield f"i={i} alpha={a}"
+
+
+@_claim("moments", "phase inner factor collapse", "p<={p}", "n^(1-s) at n=5", cap=6)
+def _inner_factor(p_max, ns=(5,)):
+    phase = moments.uniform_phase_rule()
+    for n in ns:
+        for a in _sequences(p_max, noncrossing=True):
+            if moments.inner_factor(a, n, phase) != Fraction(n) ** (1 - max(a)):
+                yield f"n={n} alpha={a}"

@@ -1,140 +1,72 @@
 """Acceptance gate: one test per headline claim, at the stated sizes.
 
-These retread ground covered by the unit tests, deliberately: each test
-here is self-contained about the claim, the bound, and the range it is
-checked on, and prints a single summary line on success.
+Claims c01-c07 are entries of ``tensormp.claims``, the registry that
+``tensormp verify`` also runs; each test here runs its claim at the
+range it states and fails with the first counterexample. c08-c12 are
+stated here. Each test prints a single summary line on success.
 """
 
-import itertools
 import json
 import math
 
 import numpy as np
-import pytest
 
 import tensormp as t
-from tensormp import GraphClass, TauModel
+from tensormp.claims import CLAIMS
 from tensormp.cli import main as cli_main
 
 from conftest import LADDER_C, LADDER_P, LADDER_TRIALS
 
 
 def test_c01_noncrossing_counting_law():
-    # number of non-crossing canonical sequences of length p with s values
-    # equals C(p, s-1) C(p, s) / p, and totals the Catalan number
-    for p in range(1, 8):
-        noncross = [a for a in t.enumerate_canonical(p) if not t.is_crossing(a)]
-        for s in range(1, p + 1):
-            got = sum(1 for a in noncross if max(a) == s)
-            assert got == t.c1_count(s, p), (p, s)
-        assert len(noncross) == math.comb(2 * p, p) // (p + 1)
+    # non-crossing canonical sequences of length p with s values number
+    # C(p, s-1) C(p, s) / p, and total the Catalan number
+    assert CLAIMS["non-crossing counts"].run(7) is None
     print("ACCEPTANCE 1 PASS counting law for p <= 7")
 
 
 def test_c02_tree_partner_existence_uniqueness():
     # non-crossing alpha: exactly one balanced tree partner, and it is the
     # constructed one; crossing alpha: none
-    for p in range(1, 8):
-        for a in t.enumerate_canonical(p):
-            s = max(a)
-            found = [
-                i for i in t.enumerate_canonical(p, p + 1 - s) if t.is_delta1(i, a)
-            ]
-            partner = t.delta1_partner(a)
-            if t.is_crossing(a):
-                assert found == [] and partner is None, a
-            else:
-                assert len(found) == 1 and partner == found[0], a
+    assert CLAIMS["tree partner uniqueness"].run(7) is None
     print("ACCEPTANCE 2 PASS tree partner existence and uniqueness for p <= 7")
 
 
 def test_c03_classification_dichotomy():
     # against non-crossing alpha every walk graph is paired or single
-    for p in range(1, 7):
-        all_i = t.enumerate_canonical(p)
-        for a in all_i:
-            if t.is_crossing(a):
-                continue
-            for i in all_i:
-                assert t.classify(t.build_graph(i, a)) is not GraphClass.OTHER, (i, a)
+    assert CLAIMS["dichotomy"].run(6) is None
     print("ACCEPTANCE 3 PASS paired/single dichotomy for p <= 6")
 
 
 def test_c04_paired_partner_counts():
     # paired partners with r values number S(p+1-s, r), and the construction
     # reproduces the brute-force classified set, not just its size
-    for p in range(1, 8):
-        all_i = t.enumerate_canonical(p)
-        for a in t.enumerate_canonical(p):
-            if t.is_crossing(a):
-                continue
-            s = max(a)
-            brute = {}
-            for i in all_i:
-                if t.classify(t.build_graph(i, a)) is GraphClass.PAIRED:
-                    brute.setdefault(max(i), []).append(i)
-            for r in range(1, p + 1):
-                image = t.paired_partners(a, r)
-                assert image == sorted(brute.get(r, [])), (a, r)
-                assert len(image) == t.stirling2(p + 1 - s, r), (a, r)
+    assert CLAIMS["paired partner counts"].run(7) is None
     print("ACCEPTANCE 4 PASS paired partner sets and counts for p <= 7")
 
 
 def test_c05_stirling_identities():
-    for n in range(21):
-        for k in range(n + 1):
-            num = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
-            q, rem = divmod(num, math.factorial(k))
-            assert rem == 0 and t.stirling2(n, k) == q
-    for n in range(1, 11):
-        for q in range(1, 11):
-            assert (
-                sum(t.falling_factorial(n, r) * t.stirling2(q, r) for r in range(1, q + 1))
-                == n**q
-            )
+    assert CLAIMS["recurrence vs explicit sum"].run(20) is None  # n <= 20, k <= n + 1
+    assert CLAIMS["partition collapse"].run(10) is None
     print("ACCEPTANCE 5 PASS stirling identities (explicit n <= 20, collapse n <= 10)")
 
 
 def test_c06_limit_moments_match_closed_form():
-    tau = TauModel.constant(1.0)
-    for c in (0.1, 0.25, 0.5, 1.0, 2.0, 4.0):
-        for p in range(1, 11):
-            assert t.limiting_moment(p, c, tau) == t.mp_moment(p, c), (p, c)
-        for p in range(1, 7):
-            assert abs(t.quadrature_moment(p, c) - t.mp_moment(p, c)) <= 1e-6, (p, c)
+    cs = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
+    assert CLAIMS["limit equals narayana sum"].run(10, cs=cs) is None
+    assert CLAIMS["quadrature moments"].run(6, cs=cs) is None
     print("ACCEPTANCE 6 PASS limit moments: exact for p <= 10, quadrature 1e-6 for p <= 6")
 
 
 def test_c07_exact_oracle_vs_exhaustive():
-    def exhaustive(n, k, m, p, taus, alphabet):
-        nk = n**k
-        total, count = 0.0, 0
-        for entries in itertools.product(alphabet, repeat=n * m * k):
-            xs = np.array(entries, dtype=complex).reshape(m, k, n) / math.sqrt(n)
-            M = np.zeros((nk, nk), dtype=complex)
-            for a in range(m):
-                y = xs[a, 0]
-                for l in range(1, k):
-                    y = np.kron(y, xs[a, l])
-                M += taus[a] * np.outer(y, y.conj())
-            total += float(np.trace(np.linalg.matrix_power(M, p)).real) / nk
-            count += 1
-        return total / count
-
     cases = [
-        (t.rademacher_rule(), (1.0, -1.0), (1.0, 1.0)),
-        (t.rademacher_rule(), (1.0, -1.0), (1.0, 2.0)),
-        (t.roots_of_unity_rule(3), tuple(np.exp(2j * np.pi * j / 3) for j in range(3)), (1.0, 1.0)),
+        ("rademacher", (1.0, 1.0), (1, 2)),
+        ("rademacher", (1.0, 2.0), (1, 2)),
+        ("roots:3", (1.0, 1.0), (1,)),
+        ("roots:4", (1.0, 1.0), (1,)),
     ]
-    worst = 0.0
-    for rule, alphabet, taus in cases:
-        for k in (1, 2) if len(alphabet) == 2 else (1,):
-            for p in (1, 2, 3):
-                got = t.exact_mean_trace_moment(2, k, 2, p, TauModel(coefficients=taus), rule)
-                want = exhaustive(2, k, 2, p, taus, alphabet)
-                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-    assert worst <= 1e-12
-    print(f"ACCEPTANCE 7 PASS combinatorial oracle vs exhaustive average (worst {worst:.2e})")
+    assert CLAIMS["exact oracle vs exhaustive"].run(3, cases=cases) is None
+    print("ACCEPTANCE 7 PASS combinatorial oracle vs exhaustive average (abs error <= 1e-12)")
 
 
 def test_c08_gram_reduction_matches_dense():

@@ -4,6 +4,7 @@ Exit-code contract: 0 success, 2 usage, 3 numerical, 4 verification.
 One test starts a fresh interpreter to inspect what the import loads.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import tensormp
+from tensormp import claims
 from tensormp.cli import main
 
 
@@ -27,6 +29,28 @@ def test_verify_suites_pass(capsys):
         assert rc == 0
         assert "OVERALL PASS" in out
         assert "FAIL" not in out.replace("OVERALL PASS", "")
+
+
+def test_verify_failure_prints_counterexample(monkeypatch, capsys):
+    claim = claims.CLAIMS["degree sums"]
+    monkeypatch.setitem(
+        claims.CLAIMS, claim.name, dataclasses.replace(claim, check=lambda p: ["alpha=(1, 3)"])
+    )
+    rc, out, _ = run(capsys, "verify", "sequences", "--p-max", "4")
+    assert rc == 4
+    assert "FAIL degree sums p<=4: alpha=(1, 3)\n" in out
+    assert "OVERALL FAIL suite=sequences claims=4 failed=1" in out
+
+
+def test_verify_report_is_deterministic(tmp_path, capsys):
+    # per-claim wall times go to stderr, never into the report
+    argv = ["verify", "sequences", "--p-max", "4", "--out", str(tmp_path), "--force"]
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0 and "s  degree sums p<=4" in err
+    (path,) = tmp_path.iterdir()
+    first = path.read_bytes()
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0 and path.read_bytes() == first
 
 
 def test_verify_p_cap_is_usage_error(capsys):
@@ -112,6 +136,21 @@ def test_simulate_bad_tau_spec(capsys):
     assert rc == 2 and "usage error" in err
 
 
+@pytest.mark.parametrize("kind, value", [("const", "inf"), ("file", "nan"), ("moments", "-inf")])
+def test_non_finite_tau_is_usage_error(tmp_path, capsys, kind, value):
+    if kind == "const":
+        spec = f"const:{value}"
+    else:
+        (tmp_path / "tau.txt").write_text(f"1.0\n{value}\n")
+        spec = f"{kind}:{tmp_path / 'tau.txt'}"
+    rc, out, err = run(capsys, "moments", "--c", "1", "--p-max", "2", "--tau", spec)
+    assert rc == 2 and out == ""
+    assert f"usage error: --tau {spec!r} holds a value that is NaN or infinite" in err
+    if kind != "moments":
+        rc, _, err = run(capsys, *"simulate --n 2 --k 1 --m 2 --trials 1".split(), "--tau", spec)
+        assert rc == 2 and "NaN or infinite" in err
+
+
 def test_simulate_writes_deterministic_outputs(tmp_path, capsys):
     argv = [
         *"simulate --n 3 --k 2 --m 4 --trials 2 --seed 7 --p-max 3".split(),
@@ -194,6 +233,33 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     rc, out, _ = run(capsys, "moments", "--config", str(cfg), "--p-max", "2")
     assert rc == 0
     assert out.strip().split("\n")[-1].startswith("2,2.0")
+    # flags with a non-empty default come from the file too; the command line wins
+    cfg.write_text(json.dumps({"c": 1.0, "p-max": 3, "tau": "const:2"}))
+    rc, out, _ = run(capsys, "moments", "--config", str(cfg))
+    assert rc == 0
+    assert [line.split(",")[1] for line in out.strip().split("\n")[2:]] == ["2.0", "8.0", "40.0"]
+    rc, out, _ = run(capsys, "moments", "--config", str(cfg), "--tau", "const:1")
+    assert rc == 0
+    assert out.strip().split("\n")[-1].startswith("3,5.0")
+    # a key that names no flag of the subcommand is a usage error
+    cfg.write_text(json.dumps({"c": 1.0, "bins": 5}))
+    rc, out, err = run(capsys, "moments", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert "usage error" in err and "bins" in err
+    # values are checked like command-line values
+    cfg.write_text(json.dumps({"c": 1.0, "p_max": 2.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--config", str(cfg)])
+    assert exc.value.code == 2 and "invalid int value: '2.5'" in capsys.readouterr().err
+
+
+def test_config_file_sets_simulate_bins(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "k": 2, "m": 3, "trials": 1, "bins": 5}))
+    rc, _, _ = run(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path))
+    assert rc == 0
+    hist = next(tmp_path.glob("*histogram.csv")).read_text().strip().split("\n")
+    assert len(hist) == 2 + 1 + 5  # comment, header, zero-atom row, 5 bins
 
 
 def test_mplaw_writes_file(tmp_path, capsys):

@@ -1,21 +1,15 @@
 """Walk-graph classification and the tree-partner bijection.
 
-Every constructive routine is checked against a brute-force search over
-the full canonical enumeration, so these tests are slow-ish but leave no
-room for a wrong recursion branch.
+The brute-force checks of the constructive routines against the full
+canonical enumeration are claims in ``tensormp.claims``; the acceptance
+gate runs the partner, dichotomy and paired-partner claims.
 """
 
 import pytest
 
 import tensormp as t
 from tensormp import GraphClass
-
-
-def brute_partner_search(alpha):
-    p, s = len(alpha), max(alpha)
-    if p + 1 - s < 1:
-        return []
-    return [i for i in t.enumerate_canonical(p, p + 1 - s) if t.is_delta1(i, alpha)]
+from tensormp.claims import CLAIMS
 
 
 def test_build_graph_shape():
@@ -53,51 +47,15 @@ def test_partner_accepts_non_canonical_input():
     assert t.delta1_partner((4, 7, 7)) == t.delta1_partner((1, 2, 2))
 
 
-def test_partner_matches_brute_force():
-    for p in range(1, 7):
-        for a in t.enumerate_canonical(p):
-            found = brute_partner_search(a)
-            partner = t.delta1_partner(a)
-            if t.is_crossing(a):
-                assert found == [] and partner is None
-            else:
-                assert len(found) == 1
-                assert partner == found[0]
-
-
 def test_partner_graph_is_tree_with_balanced_degrees():
-    for p in range(1, 8):
-        for a in t.enumerate_canonical(p):
-            if t.is_crossing(a):
-                continue
-            i = t.delta1_partner(a)
-            assert max(i) == p + 1 - max(a)
-            assert t.is_delta1(i, a)
-            g = t.build_graph(i, a)
-            assert t.count_consecutive_violations(g) is None
+    # max(i) = p + 1 - s and the tree property belong to the uniqueness claim (c02)
+    assert CLAIMS["tree partner diagnostics"].run(7) is None
 
 
 def test_paired_partners_known_values():
     assert t.paired_partners((1, 2, 2), 1) == [(1, 1, 1)]
     assert t.paired_partners((1, 2, 2), 2) == [(1, 2, 1)]
     assert t.paired_partners((1, 2, 2), 3) == []
-
-
-def test_paired_partners_match_classification():
-    for p in range(1, 7):
-        for a in t.enumerate_canonical(p):
-            if t.is_crossing(a):
-                continue
-            s = max(a)
-            for r in range(1, p + 1):
-                brute = sorted(
-                    i
-                    for i in t.enumerate_canonical(p, r)
-                    if t.classify(t.build_graph(i, a)) is GraphClass.PAIRED
-                )
-                image = t.paired_partners(a, r)
-                assert image == brute
-                assert len(image) == t.stirling2(p + 1 - s, r)
 
 
 def test_paired_partners_rejects_bad_input():
@@ -107,17 +65,6 @@ def test_paired_partners_rejects_bad_input():
         t.paired_partners((1, 2, 2), 0)
     with pytest.raises(ValueError):
         t.paired_partners((1, 2, 2), 4)
-
-
-def test_dichotomy_for_noncrossing():
-    # against a non-crossing alpha no walk produces the third class
-    for p in range(1, 7):
-        all_i = t.enumerate_canonical(p)
-        for a in all_i:
-            if t.is_crossing(a):
-                continue
-            for i in all_i:
-                assert t.classify(t.build_graph(i, a)) is not GraphClass.OTHER
 
 
 def test_consecutive_violation_report():

@@ -1,42 +1,20 @@
-"""Exact moment machinery against brute-force averages.
+"""Exact and limiting moment machinery.
 
-The exhaustive oracle enumerates every entry assignment of the random
-model at tiny sizes and averages the normalized trace power directly,
-with no combinatorics involved. Agreement here validates the whole
-expansion: injection counting, inner-product factors, and mixed moment
-rules at once.
+The exhaustive oracle (``tensormp.claims.exhaustive_mean_trace``)
+enumerates every entry assignment of the random model at tiny sizes and
+averages the normalized trace power directly, with no combinatorics
+involved. The acceptance gate compares it with the exact expansion for
+Rademacher, weighted Rademacher, and third and fourth roots of unity;
+the golden values below pin the expansion itself.
 """
 
-import itertools
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import tensormp as t
 from tensormp import GraphClass, TauModel
-
-
-def exhaustive_mean_trace(n, k, m, p, taus, alphabet):
-    nk = n**k
-    total = 0.0
-    count = 0
-    for entries in itertools.product(alphabet, repeat=n * m * k):
-        xs = np.array(entries, dtype=complex).reshape(m, k, n) / math.sqrt(n)
-        M = np.zeros((nk, nk), dtype=complex)
-        for a in range(m):
-            y = xs[a, 0]
-            for l in range(1, k):
-                y = np.kron(y, xs[a, l])
-            M += taus[a] * np.outer(y, y.conj())
-        total += float(np.trace(np.linalg.matrix_power(M, p)).real) / nk
-        count += 1
-    return total / count
-
-
-ROOTS3 = tuple(np.exp(2j * np.pi * j / 3) for j in range(3))
-ROOTS4 = (1, 1j, -1, -1j)
+from tensormp.claims import CLAIMS
 
 
 def test_limiting_moments_tau_one():
@@ -54,13 +32,6 @@ def test_limiting_moment_nonconstant_tau():
     assert t.limiting_moment(2, 1.0, tau) == 4.75
     # declaring the same moments directly must agree
     assert t.limiting_moment(2, 1.0, TauModel(moments=(1.5, 2.5))) == 4.75
-
-
-def test_limiting_equals_narayana_sum_exactly():
-    tau = TauModel.constant(1.0)
-    for c in (0.1, 0.25, 0.5, 1.0, 2.0, 4.0):
-        for p in range(1, 11):
-            assert t.limiting_moment(p, c, tau) == t.mp_moment(p, c)
 
 
 def test_moment_needs_enough_tau_moments():
@@ -111,9 +82,7 @@ def test_exact_oracle_rademacher():
     for k, expected in [(1, [1.0, 1.5, 2.5]), (2, [0.5, 0.625, 0.875])]:
         for p in (1, 2, 3):
             got = t.exact_mean_trace_moment(2, k, 2, p, tau1, rad)
-            brute = exhaustive_mean_trace(2, k, 2, p, [1.0, 1.0], (1.0, -1.0))
             assert got == pytest.approx(expected[p - 1], abs=1e-14)
-            assert got == pytest.approx(brute, abs=1e-12)
 
 
 def test_exact_oracle_rademacher_weighted():
@@ -122,9 +91,7 @@ def test_exact_oracle_rademacher_weighted():
     for k, expected in [(1, [1.5, 3.5, 9.0]), (2, [0.75, 1.5])]:
         for p, want in enumerate(expected, start=1):
             got = t.exact_mean_trace_moment(2, k, 2, p, tau, rad)
-            brute = exhaustive_mean_trace(2, k, 2, p, [1.0, 2.0], (1.0, -1.0))
             assert got == pytest.approx(want, abs=1e-14)
-            assert got == pytest.approx(brute, abs=1e-12)
 
 
 def test_exact_oracle_roots_of_unity():
@@ -132,15 +99,6 @@ def test_exact_oracle_roots_of_unity():
     r3 = t.roots_of_unity_rule(3)
     got = t.exact_mean_trace_moment(2, 1, 2, 4, tau1, r3)
     assert got == pytest.approx(4.375, abs=1e-14)
-    for p in (1, 2, 3):
-        brute = exhaustive_mean_trace(2, 1, 2, p, [1.0, 1.0], ROOTS3)
-        got = t.exact_mean_trace_moment(2, 1, 2, p, tau1, r3)
-        assert got == pytest.approx(brute, abs=1e-12)
-    r4 = t.roots_of_unity_rule(4)
-    for p in (1, 2, 3):
-        brute = exhaustive_mean_trace(2, 1, 2, p, [1.0, 1.0], ROOTS4)
-        got = t.exact_mean_trace_moment(2, 1, 2, p, tau1, r4)
-        assert got == pytest.approx(brute, abs=1e-12)
 
 
 def test_exact_oracle_requires_coefficients():
@@ -151,13 +109,7 @@ def test_exact_oracle_requires_coefficients():
 
 
 def test_phase_weight_vanishes_unless_paired():
-    phase = t.uniform_phase_rule()
-    for p in range(1, 6):
-        for a in t.enumerate_canonical(p):
-            for i in t.enumerate_canonical(p):
-                w = t.graph_expectation_weight(i, a, phase)
-                paired = t.classify(t.build_graph(i, a)) is GraphClass.PAIRED
-                assert (w != 0) == paired
+    assert CLAIMS["phase weight iff paired"].run(5) is None
 
 
 def test_single_weight_vanishes_for_all_rules():
@@ -173,13 +125,7 @@ def test_single_weight_vanishes_for_all_rules():
 
 def test_inner_factor_collapse_for_phase():
     # for non-crossing alpha the i-sum telescopes to n^(1-s)
-    phase = t.uniform_phase_rule()
-    for n in (2, 5, 9):
-        for p in range(1, 7):
-            for a in t.enumerate_canonical(p):
-                if t.is_crossing(a):
-                    continue
-                assert t.inner_factor(a, n, phase) == Fraction(n) ** (1 - max(a))
+    assert CLAIMS["phase inner factor collapse"].run(6, ns=(2, 5, 9)) is None
 
 
 def test_moment_table_csv():

@@ -102,14 +102,6 @@ def test_continuous_cdf_matches_scalar_cdf():
             assert t.cdf(x, c) == pytest.approx(want, abs=1e-9)
 
 
-def test_quadrature_moments_match_narayana():
-    for c in (0.1, 0.5, 1.0, 2.0):
-        for p in range(1, 7):
-            assert t.quadrature_moment(p, c) == pytest.approx(
-                t.mp_moment(p, c), abs=1e-6
-            )
-
-
 def test_quadrature_zeroth_moment_is_continuous_mass():
     for c in (0.25, 1.0, 2.0):
         assert t.quadrature_moment(0, c) == pytest.approx(min(1.0, c), abs=1e-10)
