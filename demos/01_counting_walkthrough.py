@@ -1,6 +1,6 @@
 """Walk through the combinatorial layer on small, printable cases.
 
-Run:  python3 demos/01_counting_walkthrough.py
+Run:  PYTHONPATH=src python3 demos/01_counting_walkthrough.py
 """
 
 import math

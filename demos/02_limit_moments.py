@@ -1,9 +1,15 @@
 """Limiting trace moments: combinatorial sum vs closed form vs quadrature.
 
-Run:  python3 demos/02_limit_moments.py
+The combinatorial column is the sum over non-crossing sequences that the
+moment method leaves (``tensormp.claims.noncrossing_limit_sum``); the
+library's ``limiting_moment`` reaches the same numbers by the
+free-cumulant recursion.
+
+Run:  PYTHONPATH=src python3 demos/02_limit_moments.py
 """
 
 import tensormp as t
+from tensormp.claims import noncrossing_limit_sum
 
 
 def main():
@@ -11,7 +17,7 @@ def main():
     print("Constant weights: the limit moments are the classical ones.")
     print(f"  {'p':>2} {'combinatorial':>14} {'closed form':>12} {'quadrature':>12}")
     for p in range(1, 7):
-        lim = t.limiting_moment(p, 1.0, tau1)
+        lim = noncrossing_limit_sum(p, 1.0, tau1)
         mp = t.mp_moment(p, 1.0)
         quad = t.quadrature_moment(p, 1.0)
         print(f"  {p:>2} {lim:>14.6f} {mp:>12.6f} {quad:>12.6f}")
@@ -20,14 +26,14 @@ def main():
     print("Same comparison across the ratio parameter c at p = 4:")
     for c in (0.1, 0.5, 1.0, 2.0, 4.0):
         print(
-            f"  c={c:<4} combinatorial={t.limiting_moment(4, c, tau1):>10.5f}"
+            f"  c={c:<4} combinatorial={noncrossing_limit_sum(4, c, tau1):>10.5f}"
             f"  closed={t.mp_moment(4, c):>10.5f}"
         )
     print()
 
     print("Non-constant weights enter only through their moments:")
     by_coeffs = t.TauModel(coefficients=(1.0, 2.0))
-    by_moments = t.TauModel(moments=t.tau_empirical_moments((1.0, 2.0), 6))
+    by_moments = t.TauModel(moments=tuple(by_coeffs.moment(q) for q in range(1, 7)))
     for p in range(1, 5):
         a = t.limiting_moment(p, 1.0, by_coeffs)
         b = t.limiting_moment(p, 1.0, by_moments)

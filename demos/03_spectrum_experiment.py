@@ -1,6 +1,6 @@
 """A desk-scale Monte Carlo run compared against the limit predictions.
 
-Run:  python3 demos/03_spectrum_experiment.py
+Run:  PYTHONPATH=src python3 demos/03_spectrum_experiment.py
 """
 
 import numpy as np

@@ -1,6 +1,6 @@
 """The limiting law itself: support, atom, density and CDF tables.
 
-Run:  python3 demos/04_law_tables.py
+Run:  PYTHONPATH=src python3 demos/04_law_tables.py
 """
 
 import numpy as np

@@ -32,7 +32,6 @@ from .moments import (
     mp_moment,
     rademacher_rule,
     roots_of_unity_rule,
-    tau_empirical_moments,
     uniform_phase_rule,
 )
 from .mplaw import MPLaw, cdf, density, ks_distance, quadrature_moment
@@ -108,7 +107,6 @@ __all__ = [
     "run_trials",
     "sample_base_vectors",
     "stirling2",
-    "tau_empirical_moments",
     "trace_moments",
     "uniform_phase_rule",
 ]

@@ -54,10 +54,13 @@ def _claim(suite, name, scope, statement, cap=sequences.P_CAP):
 
 
 def _sequences(p_max: int, noncrossing: bool = False):
+    """Each alpha of length p <= p_max (all, or the non-crossing ones) with
+    the list of every canonical sequence of length p, built once per p."""
     for p in range(1, p_max + 1):
-        for a in sequences.enumerate_canonical(p):
+        seqs = sequences.enumerate_canonical(p)
+        for a in seqs:
             if not (noncrossing and sequences.is_crossing(a)):
-                yield a
+                yield a, seqs
 
 
 def _paired(i_seq, alpha) -> bool:
@@ -84,6 +87,25 @@ def stirling_explicit(n: int, k: int) -> Fraction:
     """S(n, k) by the alternating sum (1/k!) sum_i (-1)^(k-i) C(k, i) i^n."""
     num = sum((-1) ** (k - i) * math.comb(k, i) * i**n for i in range(k + 1))
     return Fraction(num, math.factorial(k))
+
+
+def noncrossing_limit_sum(p: int, c: float, tau: moments.TauModel) -> float:
+    """The limit moment by brute force: c^s * prod_t m_deg_t summed over the
+    non-crossing canonical sequences alpha of length p, where deg_t counts
+    the positions of value t. Exact rational arithmetic, one float out."""
+    if c <= 0:
+        raise ValueError(f"need c > 0, got {c}")
+    cfrac = Fraction(c)
+    total = Fraction(0)
+    for alpha in sequences.enumerate_canonical(p):
+        if sequences.is_crossing(alpha):
+            continue
+        s = max(alpha)
+        prod = Fraction(1)
+        for t in range(1, s + 1):
+            prod *= Fraction(tau.moment(sequences.degree(alpha, t)))
+        total += cfrac ** s * prod
+    return float(total)
 
 
 def exhaustive_mean_trace(n: int, k: int, m: int, p: int, taus, alphabet) -> float:
@@ -122,14 +144,14 @@ def _canonical_order(p_max):
 
 @_claim("sequences", "degree sums", "p<={p}", "sum_t degree = p")
 def _degree_sums(p_max):
-    for a in _sequences(p_max):
+    for a, _ in _sequences(p_max):
         if sum(sequences.degree(a, t) for t in range(1, max(a) + 1)) != len(a):
             yield f"alpha={a}"
 
 
 @_claim("sequences", "crossing scan agreement", "p<={p}", "is_crossing = quartic scan", cap=8)
 def _crossing_scan(p_max):
-    for a in _sequences(p_max):
+    for a, _ in _sequences(p_max):
         if sequences.is_crossing(a) != crossing_by_quartic_scan(a):
             yield f"alpha={a}"
 
@@ -151,7 +173,7 @@ def _noncrossing_counts(p_max):
 
 @_claim("graphs", "tree partner uniqueness", "p<={p}", "one iff non-crossing, the constructed one")
 def _tree_partner(p_max):
-    for a in _sequences(p_max):
+    for a, _ in _sequences(p_max):
         found, partner = brute_partner_search(a), graphs.delta1_partner(a)
         crossing = sequences.is_crossing(a)
         if (partner is None) != crossing or found != ([] if crossing else [partner]):
@@ -160,9 +182,9 @@ def _tree_partner(p_max):
 
 @_claim("graphs", "paired partner counts", "p<={p}", "constructed = classified, S(p+1-s, r) each")
 def _paired_counts(p_max):
-    for a in _sequences(p_max, noncrossing=True):
+    for a, seqs in _sequences(p_max, noncrossing=True):
         p, s = len(a), max(a)
-        paired = sorted(i for i in sequences.enumerate_canonical(p) if _paired(i, a))
+        paired = sorted(i for i in seqs if _paired(i, a))
         for r in range(1, p + 1):
             brute = [i for i in paired if max(i) == r]
             image = graphs.paired_partners(a, r)
@@ -172,15 +194,15 @@ def _paired_counts(p_max):
 
 @_claim("graphs", "dichotomy", "p<={p}", "paired or single only", cap=6)
 def _dichotomy(p_max):
-    for a in _sequences(p_max, noncrossing=True):
-        for i in sequences.enumerate_canonical(len(a)):
+    for a, seqs in _sequences(p_max, noncrossing=True):
+        for i in seqs:
             if graphs.classify(graphs.build_graph(i, a)) is graphs.GraphClass.OTHER:
                 yield f"alpha={a} i={i}"
 
 
 @_claim("graphs", "tree partner diagnostics", "p<={p}", "no consecutive pairs")
 def _partner_diagnostics(p_max):
-    for a in _sequences(p_max, noncrossing=True):
+    for a, _ in _sequences(p_max, noncrossing=True):
         g = graphs.build_graph(graphs.delta1_partner(a), a)
         if graphs.count_consecutive_violations(g) is not None:
             yield f"alpha={a}"
@@ -233,6 +255,15 @@ def _limit_narayana(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
                 yield f"c={c} p={p} limit={got!r} narayana={want!r}"
 
 
+@_claim("moments", "limit equals non-crossing sum", "p<={p}", "float-exact at c = 0.5, tau = 0.5, 1, 1.5, 2")
+def _limit_noncrossing(p_max):
+    tau = moments.TauModel(coefficients=(0.5, 1.0, 1.5, 2.0))
+    for p in range(1, p_max + 1):
+        got, want = moments.limiting_moment(p, 0.5, tau), noncrossing_limit_sum(p, 0.5, tau)
+        if got != want:
+            yield f"p={p} limit={got!r} non-crossing={want!r}"
+
+
 @_claim("moments", "quadrature moments", "p<={p}", "abs error <= 1e-6 at c = 0.1, 0.5, 1, 2", cap=6)
 def _quadrature(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
     for c in cs:
@@ -261,8 +292,8 @@ def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
 @_claim("moments", "phase weight iff paired", "p<={p}", "nonzero on paired graphs only", cap=5)
 def _phase_weight(p_max):
     phase = moments.uniform_phase_rule()
-    for a in _sequences(p_max):
-        for i in sequences.enumerate_canonical(len(a)):
+    for a, seqs in _sequences(p_max):
+        for i in seqs:
             if (moments.graph_expectation_weight(i, a, phase) != 0) != _paired(i, a):
                 yield f"i={i} alpha={a}"
 
@@ -271,6 +302,6 @@ def _phase_weight(p_max):
 def _inner_factor(p_max, ns=(5,)):
     phase = moments.uniform_phase_rule()
     for n in ns:
-        for a in _sequences(p_max, noncrossing=True):
+        for a, _ in _sequences(p_max, noncrossing=True):
             if moments.inner_factor(a, n, phase) != Fraction(n) ** (1 - max(a)):
                 yield f"n={n} alpha={a}"

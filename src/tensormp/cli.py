@@ -323,14 +323,9 @@ def cmd_simulate(args) -> int:
     _write_text(paths["report"], json_text, args.force)
 
     print(f"simulate n={args.n} k={args.k} m={m} c={c_ref} dist={dist.label} trials={trials}")
-    for p in range(1, p_max + 1):
-        line = (
-            f"  p={p}: mean={report.moment_means[p - 1]:.6f}"
-            f" se={report.moment_ses[p - 1]:.2e}"
-        )
-        print(line)
-    if report.ks_values is not None:
-        print(f"  ks: mean={report.mean_ks:.4f} max={max(report.ks_values):.4f}")
+    for p, (mean, se) in enumerate(zip(report.moment_means, report.moment_ses), start=1):
+        print(f"  p={p}: mean={mean:.6f} se={se:.2e}")
+    print(f"  ks: mean={report.mean_ks:.4f} max={max(report.ks_values):.4f}")
     for path in paths.values():
         print(f"wrote {path}")
     print(f"({elapsed:.2f}s)", file=sys.stderr)

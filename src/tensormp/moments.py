@@ -7,9 +7,12 @@ exact combinatorial evaluation: a sum over canonical row sequences alpha
 of an injection-weighted tau factor times the k-th power of an inner
 factor, where the inner factor sums walk-graph expectations over all
 canonical column sequences. As m/n^k -> c only the non-crossing alpha
-survive, which yields the limiting moment formula implemented in
-``limiting_moment``; with constant weights that formula collapses to the
-Narayana sums of ``mp_moment``, the Marchenko-Pastur moments.
+survive, with a factor kappa_q = c m_q per block of size q: the
+moment-cumulant formula of the free Poisson law with free cumulants
+kappa_q (Nica & Speicher, 2006). ``limiting_moment`` evaluates it by the
+recursion M(z) = 1 + sum_s kappa_s z^s M(z)^s; the brute-force sum is
+the test oracle ``claims.noncrossing_limit_sum``. With constant weights
+the limit is ``mp_moment``, the Marchenko-Pastur (Narayana) moments.
 
 All combinatorial sums are carried out in exact rational arithmetic and
 converted to float once, so algebraically equal quantities compare equal
@@ -25,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .combinatorics import c1_count, falling_factorial
 from .graphs import build_graph
-from .sequences import degree, enumerate_canonical, is_crossing
+from .sequences import degree, enumerate_canonical
 
 
 @dataclass(frozen=True)
@@ -49,13 +52,13 @@ class TauModel:
             raise ValueError("empty coefficient list")
 
     @classmethod
-    def constant(cls, value: float = 1.0, m: int | None = None) -> "TauModel":
-        """The constant model tau = value; m copies when m is given.
+    def constant(cls, value: float = 1.0) -> "TauModel":
+        """The constant model tau = value, as the single coefficient (value,).
 
-        A single copy is enough for moment queries, since the empirical
+        One copy is enough for moment queries, since the empirical
         moments of (value,) are value^q at every order.
         """
-        return cls(coefficients=(float(value),) * (m if m is not None else 1))
+        return cls(coefficients=(float(value),))
 
     def moment(self, q: int) -> float:
         """m_q, preferring declared limiting moments over empirical ones."""
@@ -70,13 +73,6 @@ class TauModel:
         return float(acc / len(self.coefficients))
 
 
-def tau_empirical_moments(taus: Sequence[float], q_max: int) -> list[float]:
-    """Averages (1/m) sum tau_j^q for q = 1..q_max, exactly."""
-    assert len(taus) > 0
-    m = len(taus)
-    return [float(sum(Fraction(t) ** q for t in taus) / m) for q in range(1, q_max + 1)]
-
-
 @dataclass(frozen=True)
 class MixedMomentRule:
     """Mixed moments mu(a, b) = E[xi^a conj(xi)^b] of the entry law.
@@ -88,19 +84,6 @@ class MixedMomentRule:
 
     name: str
     mu: Callable[[int, int], int] = field(compare=False)
-
-    def validate(self, max_order: int = 4) -> None:
-        """Check the centered unit-modulus constraints on small orders."""
-        if self.mu(0, 0) != 1:
-            raise ValueError(f"{self.name}: mu(0,0) must be 1")
-        if self.mu(1, 1) != 1:
-            raise ValueError(f"{self.name}: mu(1,1) must be 1 (unit variance)")
-        if self.mu(1, 0) != 0 or self.mu(0, 1) != 0:
-            raise ValueError(f"{self.name}: entries must be centered")
-        for a in range(max_order + 1):
-            for b in range(max_order + 1):
-                if abs(self.mu(a, b)) > 1:
-                    raise ValueError(f"{self.name}: |mu({a},{b})| > 1 breaks unit modulus")
 
 
 def uniform_phase_rule() -> MixedMomentRule:
@@ -123,23 +106,26 @@ def roots_of_unity_rule(q: int) -> MixedMomentRule:
 def limiting_moment(p: int, c: float, tau: TauModel) -> float:
     """Limit of the normalized expected p-th trace moment as m/n^k -> c.
 
-    Sums c^s * prod_t m_deg_t over all non-crossing canonical sequences
-    alpha of length p, where deg_t counts the positions of value t in
-    alpha. Exact rational arithmetic inside, one float conversion out.
+    The coefficient of z^p in M(z) = 1 + sum_s kappa_s z^s M(z)^s with
+    kappa_q = c m_q; that of z^n needs only m_0..m_(n-1). Exact rational
+    arithmetic inside, one float conversion out, so the result equals
+    ``claims.noncrossing_limit_sum`` float-for-float.
     """
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
-    cfrac = Fraction(c)
-    total = Fraction(0)
-    for alpha in enumerate_canonical(p):
-        if is_crossing(alpha):
-            continue
-        s = max(alpha)
-        prod = Fraction(1)
-        for t in range(1, s + 1):
-            prod *= Fraction(tau.moment(degree(alpha, t)))
-        total += cfrac ** s * prod
-    return float(total)
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
+    kappa = [None] + [Fraction(c) * Fraction(tau.moment(q)) for q in range(1, p + 1)]
+    m = [Fraction(1)]
+    for n in range(1, p + 1):
+        power = [Fraction(1)] + [Fraction(0)] * n  # [z^j] M(z)^0
+        total = Fraction(0)
+        for s in range(1, n + 1):
+            # [z^j] M(z)^s for j <= n - s, from M^(s-1) and m_0..m_(n-1)
+            power = [sum(power[i] * m[j - i] for i in range(j + 1)) for j in range(n - s + 1)]
+            total += kappa[s] * power[n - s]
+        m.append(total)
+    return float(m[p])
 
 
 def mp_moment(p: int, c: float) -> float:

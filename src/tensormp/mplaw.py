@@ -55,9 +55,9 @@ def density(x: float, c: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """The 96-point Gauss-Legendre rule on [-1, 1], for every integral of the law."""
+    return np.polynomial.legendre.leggauss(96)
 
 
 def _integrand_theta(law: MPLaw, theta: np.ndarray, power: int = 0) -> np.ndarray:
@@ -78,9 +78,9 @@ def _theta_of_x(law: MPLaw, x: np.ndarray) -> np.ndarray:
     return np.arcsin(np.sqrt(frac))
 
 
-def _segment_masses(law: MPLaw, t0: np.ndarray, t1: np.ndarray, order: int) -> np.ndarray:
+def _segment_masses(law: MPLaw, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
     """Integral of the density over each theta segment [t0_i, t1_i]."""
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes()
     mid = (t0 + t1) / 2.0
     half = (t1 - t0) / 2.0
     theta = mid[:, None] + half[:, None] * nodes[None, :]
@@ -88,14 +88,14 @@ def _segment_masses(law: MPLaw, t0: np.ndarray, t1: np.ndarray, order: int) -> n
     return (vals @ weights) * half
 
 
-def continuous_cdf_sorted(xs: np.ndarray, c: float, order: int = 96) -> np.ndarray:
+def continuous_cdf_sorted(xs: np.ndarray, c: float) -> np.ndarray:
     """Continuous-part CDF at an ascending grid, by cumulative quadrature."""
     law = MPLaw(c)
     xs = np.asarray(xs, dtype=float)
     assert np.all(np.diff(xs) >= 0), "grid must be ascending"
     thetas = _theta_of_x(law, xs)
     th = np.concatenate(([0.0], thetas))
-    seg = _segment_masses(law, th[:-1], th[1:], order)
+    seg = _segment_masses(law, th[:-1], th[1:])
     out = np.cumsum(seg)
     # x below the support contributes nothing regardless of rounding
     out[xs <= law.a] = 0.0
@@ -115,7 +115,7 @@ def cdf(x: float, c: float) -> float:
     return min(1.0, MPLaw(c).atom + cont)
 
 
-def quadrature_moment(p: int, c: float, order: int = 96) -> float:
+def quadrature_moment(p: int, c: float) -> float:
     """p-th moment of the law by quadrature, atom excluded.
 
     The atom contributes nothing for p >= 1; p = 0 therefore returns the
@@ -123,14 +123,14 @@ def quadrature_moment(p: int, c: float, order: int = 96) -> float:
     """
     assert p >= 0
     law = MPLaw(c)
-    nodes, weights = _gl_nodes(order)
+    nodes, weights = _gl_nodes()
     half = math.pi / 4.0
     theta = half + half * nodes
     vals = _integrand_theta(law, theta, power=p)
     return float(vals @ weights * half)
 
 
-def ks_distance(sample, c: float, order: int = 96) -> float:
+def ks_distance(sample, c: float) -> float:
     """Kolmogorov-Smirnov distance between a spectrum sample and the law.
 
     ``sample`` provides nonzero_eigenvalues and zero_multiplicity; the
@@ -153,7 +153,7 @@ def ks_distance(sample, c: float, order: int = 96) -> float:
     cum_hi = np.cumsum(mass)
     cum_lo = cum_hi - mass
 
-    cont = continuous_cdf_sorted(pts, c, order)
+    cont = continuous_cdf_sorted(pts, c)
     f_right = cont + law.atom * (pts >= 0.0)
     f_left = cont + law.atom * (pts > 0.0)
     return float(
@@ -161,11 +161,11 @@ def ks_distance(sample, c: float, order: int = 96) -> float:
     )
 
 
-def law_table_csv(c: float, xs, order: int = 96, config_line: str | None = None) -> str:
+def law_table_csv(c: float, xs, config_line: str | None = None) -> str:
     """CSV with columns x, pdf, cdf over an ascending grid."""
     law = MPLaw(c)
     xs = np.asarray(sorted(float(v) for v in xs))
-    cont = continuous_cdf_sorted(xs, c, order)
+    cont = continuous_cdf_sorted(xs, c)
     lines = []
     if config_line is not None:
         lines.append(f"# {config_line}")

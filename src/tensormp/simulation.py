@@ -148,15 +148,15 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
     return out
 
 
-def hermitian_eigenvalues(H: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
-    Verifies Hermiticity to tol first; the backward-stable solver then
-    guarantees residuals at the epsilon * norm level for each eigenpair.
+    Verifies Hermiticity to a relative 1e-9 first; the backward-stable
+    solver then guarantees residuals at the epsilon * norm level for each eigenpair.
     """
     H = np.asarray(H)
     scale = max(1.0, float(np.linalg.norm(H)))
-    if float(np.linalg.norm(H - H.conj().T)) > tol * scale:
+    if float(np.linalg.norm(H - H.conj().T)) > 1e-9 * scale:
         raise NumericalError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(H)
 
@@ -232,7 +232,7 @@ def esd(
 class TrialOutcome:
     trial: int
     sample: SpectrumSample
-    ks: float | None
+    ks: float
 
 
 @dataclass
@@ -243,15 +243,11 @@ class SimulationReport:
     outcomes: list[TrialOutcome]
     moment_means: list[float]
     moment_ses: list[float]
-    ks_values: list[float] | None
+    ks_values: list[float]
 
     @property
-    def trial_moments(self) -> np.ndarray:
-        return np.array([o.sample.trace_moments for o in self.outcomes])
-
-    @property
-    def mean_ks(self) -> float | None:
-        return float(np.mean(self.ks_values)) if self.ks_values else None
+    def mean_ks(self) -> float:
+        return float(np.mean(self.ks_values))
 
     def to_json_dict(self) -> dict:
         """Deterministic JSON payload (no wall-clock fields)."""
@@ -259,10 +255,8 @@ class SimulationReport:
             {"p": p + 1, "mean": self.moment_means[p], "se": self.moment_ses[p]}
             for p in range(len(self.moment_means))
         ]
-        out = {"config": self.config, "moments": per_p}
-        if self.ks_values is not None:
-            out["ks"] = {"per_trial": self.ks_values, "mean": self.mean_ks}
-        return out
+        ks = {"per_trial": self.ks_values, "mean": self.mean_ks}
+        return {"config": self.config, "moments": per_p, "ks": ks}
 
 
 def estimate_gram_bytes(m: int) -> int:
@@ -282,7 +276,6 @@ def run_trials(
     *,
     c: float | None = None,
     threads: int = 1,
-    compute_ks: bool = True,
     zero_tol: float = 1e-10,
 ) -> SimulationReport:
     """Independent trials of the full pipeline, deterministically seeded.
@@ -307,11 +300,8 @@ def run_trials(
         vecs = sample_base_vectors(n, k, m, dist, seed, trial=t)
         G = gram_matrix(vecs)
         sample = esd(G, tau_coeffs, nk, P=P, zero_tol=zero_tol, seed=seed, dims=(n, k, m))
-        ks = None
-        if compute_ks:
-            scaled = replace(sample, nonzero_eigenvalues=sample.nonzero_eigenvalues / ks_scale)
-            ks = mplaw.ks_distance(scaled, c_ref)
-        return TrialOutcome(t, sample, ks)
+        scaled = replace(sample, nonzero_eigenvalues=sample.nonzero_eigenvalues / ks_scale)
+        return TrialOutcome(t, sample, mplaw.ks_distance(scaled, c_ref))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -325,7 +315,6 @@ def run_trials(
         ses = [float(v) for v in mat.std(axis=0, ddof=1) / math.sqrt(trials)]
     else:
         ses = [0.0] * P
-    ks_values = [o.ks for o in outcomes] if compute_ks else None
     config = {
         "n": n,
         "k": k,
@@ -338,12 +327,10 @@ def run_trials(
         "seed": seed,
         "zero_tol": zero_tol,
     }
-    return SimulationReport(config, outcomes, means, ses, ks_values)
+    return SimulationReport(config, outcomes, means, ses, [o.ks for o in outcomes])
 
 
-def histogram_rows(
-    samples, bins: int = 60, value_range: tuple[float, float] | None = None
-) -> list[tuple[float, float, float]]:
+def histogram_rows(samples, bins: int = 60) -> list[tuple[float, float, float]]:
     """Pooled ESD histogram rows (bin_left, bin_right, mass).
 
     The first row is the zero atom with bin_left = bin_right = 0; its
@@ -357,7 +344,7 @@ def histogram_rows(
     pooled = np.concatenate([np.asarray(s.nonzero_eigenvalues, float) for s in samples])
     rows = [(0.0, 0.0, zeros / total)]
     if pooled.size:
-        counts, edges = np.histogram(pooled, bins=bins, range=value_range)
+        counts, edges = np.histogram(pooled, bins=bins)
         rows.extend(
             (float(edges[i]), float(edges[i + 1]), int(counts[i]) / total)
             for i in range(len(counts))

@@ -21,8 +21,8 @@ from conftest import LADDER_C, LADDER_P, LADDER_TRIALS
 def test_c01_noncrossing_counting_law():
     # non-crossing canonical sequences of length p with s values number
     # C(p, s-1) C(p, s) / p, and total the Catalan number
-    assert CLAIMS["non-crossing counts"].run(7) is None
-    print("ACCEPTANCE 1 PASS counting law for p <= 7")
+    assert CLAIMS["non-crossing counts"].run(8) is None
+    print("ACCEPTANCE 1 PASS counting law for p <= 8")
 
 
 def test_c02_tree_partner_existence_uniqueness():
@@ -52,7 +52,10 @@ def test_c05_stirling_identities():
 
 
 def test_c06_limit_moments_match_closed_form():
+    # the free-cumulant recursion equals the non-crossing sum for a non-constant
+    # tau, and the Narayana closed form for tau = 1, as floats
     cs = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
+    assert CLAIMS["limit equals non-crossing sum"].run(10) is None
     assert CLAIMS["limit equals narayana sum"].run(10, cs=cs) is None
     assert CLAIMS["quadrature moments"].run(6, cs=cs) is None
     print("ACCEPTANCE 6 PASS limit moments: exact for p <= 10, quadrature 1e-6 for p <= 6")

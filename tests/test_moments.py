@@ -14,7 +14,7 @@ import pytest
 
 import tensormp as t
 from tensormp import GraphClass, TauModel
-from tensormp.claims import CLAIMS
+from tensormp.claims import CLAIMS, noncrossing_limit_sum
 
 
 def test_limiting_moments_tau_one():
@@ -30,6 +30,7 @@ def test_limiting_moment_nonconstant_tau():
     # sum over the two non-crossing patterns gives 19/4
     tau = TauModel(coefficients=(1.0, 2.0))
     assert t.limiting_moment(2, 1.0, tau) == 4.75
+    assert noncrossing_limit_sum(2, 1.0, tau) == 4.75
     # declaring the same moments directly must agree
     assert t.limiting_moment(2, 1.0, TauModel(moments=(1.5, 2.5))) == 4.75
 
@@ -37,6 +38,18 @@ def test_limiting_moment_nonconstant_tau():
 def test_moment_needs_enough_tau_moments():
     with pytest.raises(ValueError):
         t.limiting_moment(3, 1.0, TauModel(moments=(1.0, 1.0)))
+    # p >= 1 and c > 0 are required as well
+    for p, c in ((0, 1.0), (2, 0.0), (2, -1.0)):
+        with pytest.raises(ValueError):
+            t.limiting_moment(p, c, TauModel.constant(1.0))
+
+
+def test_limiting_moment_beyond_enumeration_cap():
+    # the recursion needs no sequence enumeration, so P_CAP does not bind it
+    assert t.P_CAP < 14
+    tau = TauModel.constant(1.0)
+    for c in (0.1, 0.5, 1.0, 2.0):
+        assert t.limiting_moment(14, c, tau) == t.mp_moment(14, c)
 
 
 def test_tau_model_validation():
@@ -51,9 +64,12 @@ def test_tau_model_validation():
 
 
 def test_tau_empirical_moments():
-    assert t.tau_empirical_moments((1.0, 1.0, 1.0), 3) == [1.0, 1.0, 1.0]
-    assert t.tau_empirical_moments((2.0, 0.0), 2) == [1.0, 2.0]
-    assert t.tau_empirical_moments((1.0, -1.0), 2) == [0.0, 1.0]
+    def moments(coeffs, q_max):
+        return [TauModel(coefficients=coeffs).moment(q) for q in range(1, q_max + 1)]
+
+    assert moments((1.0, 1.0, 1.0), 3) == [1.0, 1.0, 1.0]
+    assert moments((2.0, 0.0), 2) == [1.0, 2.0]
+    assert moments((1.0, -1.0), 2) == [0.0, 1.0]
 
 
 def test_carleman_check():
