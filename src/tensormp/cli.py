@@ -6,11 +6,17 @@ Subcommands
     simulate  run Monte Carlo trials; emit histogram, moments, JSON report
     mplaw     emit a density/CDF table for the limiting law
 
+Every numeric flag is checked once against its domain in DOMAINS after
+parsing, so values from --config are checked too. Each command builds one
+configuration dict: a short hash of it names the output files, every
+file starts with it as a "# config=" line, and report.json echoes it as
+"config". Files are written only when --out is given, each announced by
+a "wrote <path>" line on stderr. Existing files are refused before any
+work unless --force is given.
+
 Every command is a pure function of its configuration: for a fixed BLAS
 thread setting, identical flags and seed produce byte-identical output
-files (wall-clock timing goes to stderr only). Output file names embed
-a short hash of the configuration so distinct experiments never collide;
-rerunning the same configuration requires --force to overwrite.
+files (wall-clock timing goes to stderr only).
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure,
 4 verification failure.
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -35,10 +42,40 @@ class UsageError(Exception):
     pass
 
 
-# ---------------------------------------------------------------- helpers
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a UsageError, so main returns 2."""
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True)
+    def error(self, message):
+        raise UsageError(message)
+
+
+# ------------------------------------------------------------ front door
+
+# Valid values of each numeric flag, checked once in main after parsing,
+# so --config values are checked too. P_CAP bounds every p_max: the exact
+# column enumerates sequences, and it keeps lambda^p and the limit
+# recursion bounded.
+DOMAINS = {
+    **dict.fromkeys(("n", "k", "m", "trials", "bins", "threads"), (">= 1", lambda v: v >= 1)),
+    "p_max": (f"in 1..{sequences.P_CAP}", lambda v: 1 <= v <= sequences.P_CAP),
+    "c": ("finite and > 0", lambda v: 0 < v < math.inf),
+    "mem_limit": ("> 0", lambda v: v > 0),
+    "grid_points": (">= 2", lambda v: v >= 2),
+    "zero_tol": ("in [0, 1)", lambda v: 0 <= v < 1),
+    **dict.fromkeys(("x_min", "x_max"), ("finite", math.isfinite)),
+}
+
+
+def _check(name: str, value, label: str | None = None):
+    """Returns value if it lies in the domain of flag name, else UsageError."""
+    rule, ok = DOMAINS[name]
+    if value is not None and not ok(value):
+        raise UsageError(f"{label or '--' + name.replace('_', '-')}={value} must be {rule}")
+    return value
+
+
+def _digest(obj) -> str:
+    canon = json.dumps(obj, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
@@ -46,16 +83,38 @@ def _config_line(config: dict) -> str:
     return "config=" + json.dumps(config, sort_keys=True)
 
 
-def _write_text(path: str, text: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise UsageError(f"refusing to overwrite {path} (use --force)")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _outputs(args, config: dict, prefix: str, *suffixes: str):
+    """Claims one run's output files before any work is done.
+
+    The file names are prefix_<hash of config><suffix>. Existing files are
+    refused unless --force. Returns write(*texts), which writes the texts
+    in the order of suffixes under --out and reports each path on stderr;
+    without --out it writes nothing.
+    """
+    if args.out is None:
+        return lambda *texts: None
+    tag = _digest(config)
+    paths = [os.path.join(args.out, f"{prefix}_{tag}{s}") for s in suffixes]
+    for path in paths:
+        if os.path.exists(path) and not args.force:
+            raise UsageError(f"refusing to overwrite {path} (use --force)")
+
+    def write(*texts: str) -> None:
+        os.makedirs(args.out or ".", exist_ok=True)
+        for path, text in zip(paths, texts, strict=True):
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+            print(f"wrote {path}", file=sys.stderr)
+
+    return write
 
 
 def _parse_tau(spec: str, m: int | None):
-    """Returns (coefficients tuple or None, moments tuple or None, label)."""
+    """Returns (coefficients tuple or None, moments tuple or None, label).
+
+    The label of a file: or moments: spec carries a digest of the parsed
+    values, so a changed file at the same path gets new output names.
+    """
     kind, _, arg = spec.partition(":")
     if kind == "const":
         values = (float(arg),)
@@ -68,13 +127,14 @@ def _parse_tau(spec: str, m: int | None):
         raise UsageError(f"bad --tau spec {spec!r} (const:v | file:PATH | moments:PATH)")
     if not np.all(np.isfinite(values)):
         raise UsageError(f"--tau {spec!r} holds a value that is NaN or infinite")
+    label = spec if kind == "const" else f"{spec}#{_digest(values)}"
     if kind == "moments":
-        return None, values, spec
+        return None, values, label
     if kind == "const":
         values *= m if m is not None else 1
     elif m is not None and len(values) != m:
         raise UsageError(f"tau file has {len(values)} entries but m={m}")
-    return values, None, spec
+    return values, None, label
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -109,12 +169,17 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
+def _warn_ratio(c, n: int, k: int, m: int) -> None:
+    if c is not None and round(c * n**k) != m:
+        print(f"warning: m={m} differs from round(c*n^k)={round(c * n**k)}", file=sys.stderr)
+
+
 # ------------------------------------------------------------ verify suite
 
 def cmd_verify(args) -> int:
     p_max = args.p_max if args.p_max is not None else claims.DEFAULT_P_MAX[args.suite]
-    if not 1 <= p_max <= sequences.P_CAP:
-        raise UsageError(f"--p-max {p_max} outside 1..{sequences.P_CAP}")
+    config = {"command": "verify", "suite": args.suite, "p_max": p_max}
+    write = _outputs(args, config, f"verify_{args.suite}", ".txt")
     suite = [c for c in claims.CLAIMS.values() if c.suite == args.suite]
     lines = []
     for claim in suite:
@@ -128,11 +193,7 @@ def cmd_verify(args) -> int:
     lines.append(f"OVERALL {overall} suite={args.suite} claims={len(suite)} failed={n_fail}")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    if args.out is not None:
-        config = {"command": "verify", "suite": args.suite, "p_max": p_max}
-        path = os.path.join(args.out, f"verify_{args.suite}_{_config_hash(config)}.txt")
-        _write_text(path, f"# {_config_line(config)}\n" + report, args.force)
-        print(f"wrote {path}", file=sys.stderr)
+    write(f"# {_config_line(config)}\n" + report)
     return 0 if n_fail == 0 else 4
 
 
@@ -140,13 +201,20 @@ def cmd_verify(args) -> int:
 
 def cmd_moments(args) -> int:
     _require(args, "c")
-    if args.c <= 0:
-        raise UsageError(f"--c must be positive, got {args.c}")
-    if not 1 <= args.p_max <= sequences.P_CAP:
-        raise UsageError(f"--p-max {args.p_max} outside 1..{sequences.P_CAP}")
-    coeffs, mom, tau_label = _parse_tau(args.tau, args.m)
-    tau = moments.TauModel(coefficients=coeffs, moments=mom)
     dims = (args.n, args.k, args.m)
+    if None in dims and dims != (None, None, None):
+        raise UsageError("the exact column needs all of --n, --k and --m, or none of them")
+    coeffs, mom, tau_label = _parse_tau(args.tau, args.m)
+    exact_fn = None
+    if args.m is not None:
+        if coeffs is None:
+            raise UsageError("exact finite-size column needs explicit tau coefficients")
+        rule = simulation.EntryDistribution.parse(args.dist).mixed_moment_rule()
+        exact_tau = moments.TauModel(coefficients=coeffs)
+        exact_fn = lambda p: moments.exact_mean_trace_moment(*dims, p, exact_tau, rule)
+        _warn_ratio(args.c, *dims)
+    elif args.tau.startswith("const:"):
+        exact_fn = lambda p: coeffs[0] ** p * moments.mp_moment(p, args.c)
     config = {
         "command": "moments",
         "p_max": args.p_max,
@@ -157,40 +225,16 @@ def cmd_moments(args) -> int:
         "k": args.k,
         "m": args.m,
     }
+    write = _outputs(args, config, "moments", ".csv")
 
-    exact_fn = None
-    if all(v is not None for v in dims):
-        if min(dims) < 1:
-            raise UsageError(f"dimensions must be positive, got n,k,m={dims}")
-        if coeffs is None:
-            raise UsageError("exact finite-size column needs explicit tau coefficients")
-        dist = simulation.EntryDistribution.parse(args.dist)
-        rule = dist.mixed_moment_rule()
-        exact_tau = moments.TauModel(coefficients=coeffs)
-        exact_fn = lambda p: moments.exact_mean_trace_moment(
-            args.n, args.k, args.m, p, exact_tau, rule
-        )
-        if round(args.c * args.n ** args.k) != args.m:
-            print(
-                f"warning: m={args.m} differs from round(c*n^k)={round(args.c * args.n ** args.k)}",
-                file=sys.stderr,
-            )
-    elif args.tau.startswith("const:"):
-        exact_fn = lambda p: coeffs[0] ** p * moments.mp_moment(p, args.c)
-
-    try:
-        rows = []
-        for p in range(1, args.p_max + 1):
-            theory = moments.limiting_moment(p, args.c, tau)
-            rows.append((p, theory, exact_fn(p) if exact_fn is not None else None))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    tau = moments.TauModel(coefficients=coeffs, moments=mom)
+    rows = []
+    for p in range(1, args.p_max + 1):
+        theory = moments.limiting_moment(p, args.c, tau)
+        rows.append((p, theory, exact_fn(p) if exact_fn is not None else None))
     csv_text = moments.moment_table_csv(rows, config_line=_config_line(config))
     sys.stdout.write(csv_text)
-    if args.out is not None:
-        path = os.path.join(args.out, f"moments_{_config_hash(config)}.csv")
-        _write_text(path, csv_text, args.force)
-        print(f"wrote {path}", file=sys.stderr)
+    write(csv_text)
     return 0
 
 
@@ -200,36 +244,26 @@ def cmd_simulate(args) -> int:
     _require(args, "n", "k")
     if args.m is None and args.c is None:
         raise UsageError("give --m or --c")
-    if args.n < 1 or args.k < 1:
-        raise UsageError(f"dimensions must be positive, got n={args.n} k={args.k}")
     nk = args.n ** args.k
-    m = args.m if args.m is not None else round(args.c * nk)
-    if m < 1:
-        raise UsageError(f"m={m} after rounding c*n^k; nothing to sample")
-    if args.m is not None and args.c is not None and round(args.c * nk) != args.m:
-        print(
-            f"warning: m={args.m} differs from round(c*n^k)={round(args.c * nk)}",
-            file=sys.stderr,
-        )
+    if args.m is None:
+        m = _check("m", round(args.c * nk), "m=round(c*n^k)")
+    else:
+        m = args.m
+        _warn_ratio(args.c, args.n, args.k, m)
     c_ref = args.c if args.c is not None else m / nk
-    p_max, trials, seed, zero_tol = args.p_max, args.trials, args.seed, args.zero_tol
-    if not 1 <= p_max <= sequences.P_CAP:
-        raise UsageError(f"--p-max {p_max} outside 1..{sequences.P_CAP}")
-    if trials < 1:
-        raise UsageError(f"--trials must be positive, got {trials}")
-    need = simulation.estimate_gram_bytes(m)
+    concurrent = min(args.threads, args.trials)
+    need = simulation.estimate_gram_bytes(m) * concurrent
     if need > args.mem_limit:
         raise UsageError(
-            f"estimated working set {need / 1e9:.2f} GB exceeds limit "
-            f"{args.mem_limit / 1e9:.2f} GB (m={m}); raise --mem-limit to proceed"
+            f"estimated working set {need / 1e9:.2f} GB ({concurrent} concurrent trials at "
+            f"m={m}) exceeds limit {args.mem_limit / 1e9:.2f} GB; raise --mem-limit or lower --threads"
         )
-    coeffs, mom, tau_label = _parse_tau(args.tau, m)
+    coeffs, _, tau_label = _parse_tau(args.tau, m)
     if coeffs is None:
         raise UsageError("simulation needs explicit tau coefficients, not moments")
     dist = simulation.EntryDistribution.parse(args.dist)
     if args.dense_check and nk > 64:
         raise UsageError(f"--dense-check limited to n^k <= 64, got {nk}")
-
     config = {
         "command": "simulate",
         "n": args.n,
@@ -238,96 +272,56 @@ def cmd_simulate(args) -> int:
         "c": c_ref,
         "dist": dist.label,
         "tau": tau_label,
-        "p_max": p_max,
-        "trials": trials,
-        "seed": seed,
+        "p_max": args.p_max,
+        "trials": args.trials,
+        "seed": args.seed,
         "bins": args.bins,
         "dense_check": bool(args.dense_check),
-        "zero_tol": zero_tol,
+        "zero_tol": args.zero_tol,
     }
-    tag = _config_hash(config)
-    cfg_line = _config_line(config)
-
-    out_dir = args.out if args.out is not None else "."
-    paths = {
-        "histogram": os.path.join(out_dir, f"simulate_{tag}_histogram.csv"),
-        "trial_moments": os.path.join(out_dir, f"simulate_{tag}_trial_moments.csv"),
-        "report": os.path.join(out_dir, f"simulate_{tag}_report.json"),
-    }
-    if not args.force:
-        for path in paths.values():
-            if os.path.exists(path):  # refuse before the expensive part
-                raise UsageError(f"refusing to overwrite {path} (use --force)")
+    write = _outputs(
+        args, config, "simulate", "_histogram.csv", "_trial_moments.csv", "_report.json"
+    )
 
     t0 = time.perf_counter()
     report = simulation.run_trials(
-        args.n,
-        args.k,
-        m,
-        dist,
-        coeffs,
-        p_max,
-        trials,
-        seed,
-        c=c_ref,
-        threads=args.threads,
-        zero_tol=zero_tol,
+        args.n, args.k, m, dist, coeffs, args.p_max, args.trials, args.seed,
+        c=c_ref, threads=args.threads, zero_tol=args.zero_tol,
     )
     elapsed = time.perf_counter() - t0
 
-    dense_cols = {}
-    dense_summary = None
+    dense, worst = {}, 0.0  # --dense-check: each trial through the n^k-dimensional matrix
     if args.dense_check:
-        worst = 0.0
-        for t in range(trials):
-            vecs = simulation.sample_base_vectors(args.n, args.k, m, dist, seed, trial=t)
-            M = simulation.dense_matrix(vecs, np.asarray(coeffs))
-            lam_dense = simulation.hermitian_eigenvalues(M)
-            sample = report.outcomes[t].sample
-            lam_red = np.sort(
-                np.concatenate(
-                    [np.zeros(sample.zero_multiplicity), sample.nonzero_eigenvalues]
-                )
-            )
-            worst = max(worst, float(np.max(np.abs(lam_dense - lam_red))))
-            for p in range(1, p_max + 1):
-                dense_cols[(t, p)] = float(np.sum(lam_dense ** p)) / nk
-        dense_summary = {"max_eigenvalue_deviation": worst}
+        for o in report.outcomes:
+            vecs = simulation.sample_base_vectors(args.n, args.k, m, dist, args.seed, trial=o.trial)
+            lam = simulation.hermitian_eigenvalues(simulation.dense_matrix(vecs, np.asarray(coeffs)))
+            s = o.sample
+            lam_red = np.sort(np.concatenate([np.zeros(s.zero_multiplicity), s.nonzero_eigenvalues]))
+            worst = max(worst, float(np.max(np.abs(lam - lam_red))))
+            for p in range(1, args.p_max + 1):
+                dense[o.trial, p] = float(np.sum(lam**p)) / nk
 
-    # histogram CSV (pooled over trials, zero atom as its own row)
+    head = f"# {_config_line(config)}"
     rows = simulation.histogram_rows([o.sample for o in report.outcomes], bins=args.bins)
-    hist_lines = [f"# {cfg_line}", "bin_left,bin_right,mass"]
-    hist_lines += [f"{l!r},{r!r},{w!r}" for l, r, w in rows]
-    hist_text = "\n".join(hist_lines) + "\n"
-
-    # per-trial moment CSV
-    header = "trial,p,value" + (",dense_value,abs_diff" if args.dense_check else "")
-    mom_lines = [f"# {cfg_line}", header]
+    hist = [head, "bin_left,bin_right,mass", *(f"{l!r},{r!r},{w!r}" for l, r, w in rows)]
+    mom = [head, "trial,p,value" + (",dense_value,abs_diff" if args.dense_check else "")]
     for o in report.outcomes:
-        for p in range(1, p_max + 1):
-            v = o.sample.trace_moments[p - 1]
-            line = f"{o.trial},{p},{v!r}"
-            if args.dense_check:
-                dv = dense_cols[(o.trial, p)]
-                line += f",{dv!r},{abs(v - dv)!r}"
-            mom_lines.append(line)
-    mom_text = "\n".join(mom_lines) + "\n"
+        for p, v in enumerate(o.sample.trace_moments, start=1):
+            dv = dense.get((o.trial, p))
+            mom.append(f"{o.trial},{p},{v!r}" + ("" if dv is None else f",{dv!r},{abs(v - dv)!r}"))
+    payload = {"config": config, **report.to_json_dict()}
+    if args.dense_check:
+        payload["dense_check"] = {"max_eigenvalue_deviation": worst}
+    write(
+        "\n".join(hist) + "\n",
+        "\n".join(mom) + "\n",
+        json.dumps(payload, sort_keys=True, indent=2) + "\n",
+    )
 
-    payload = report.to_json_dict()
-    if dense_summary is not None:
-        payload["dense_check"] = dense_summary
-    json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-    _write_text(paths["histogram"], hist_text, args.force)
-    _write_text(paths["trial_moments"], mom_text, args.force)
-    _write_text(paths["report"], json_text, args.force)
-
-    print(f"simulate n={args.n} k={args.k} m={m} c={c_ref} dist={dist.label} trials={trials}")
+    print(f"simulate n={args.n} k={args.k} m={m} c={c_ref} dist={dist.label} trials={args.trials}")
     for p, (mean, se) in enumerate(zip(report.moment_means, report.moment_ses), start=1):
         print(f"  p={p}: mean={mean:.6f} se={se:.2e}")
     print(f"  ks: mean={report.mean_ks:.4f} max={max(report.ks_values):.4f}")
-    for path in paths.values():
-        print(f"wrote {path}")
     print(f"({elapsed:.2f}s)", file=sys.stderr)
     return 0
 
@@ -336,18 +330,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_mplaw(args) -> int:
     _require(args, "c")
-    if args.c <= 0:
-        raise UsageError(f"--c must be positive, got {args.c}")
-    if args.grid_points < 2:
-        raise UsageError("--grid-points must be at least 2")
     law = mplaw.MPLaw(args.c)
     lo = args.x_min
-    hi = args.x_max if args.x_max is not None else law.b * 1.05
+    hi = args.x_max if args.x_max is not None else _check("x_max", law.b * 1.05, "x_max=1.05 b")
     if hi <= lo:
         raise UsageError(f"empty grid [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, args.grid_points)
-    if law.atom > 0 and lo <= 0.0 <= hi:
-        xs = np.unique(np.append(xs, 0.0))  # make the atom row explicit
     config = {
         "command": "mplaw",
         "c": args.c,
@@ -355,20 +342,21 @@ def cmd_mplaw(args) -> int:
         "x_max": hi,
         "grid_points": args.grid_points,
     }
+    write = _outputs(args, config, "mplaw", ".csv")
+    xs = np.linspace(lo, hi, args.grid_points)
+    if law.atom > 0 and lo <= 0.0 <= hi:
+        xs = np.unique(np.append(xs, 0.0))  # make the atom row explicit
     text = mplaw.law_table_csv(args.c, xs, config_line=_config_line(config))
-    if args.out is not None:
-        path = os.path.join(args.out, f"mplaw_{_config_hash(config)}.csv")
-        _write_text(path, text, args.force)
-        print(f"wrote {path}")
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+    write(text)
     return 0
 
 
 # -------------------------------------------------------------- arg parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tensormp",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -377,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="JSON file with defaults; flags override")
-        sp.add_argument("--out", help="output directory (default: print only)")
+        sp.add_argument("--out", help="output directory; files are written only when it is given")
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     sp = sub.add_parser("verify", help="run a module invariant suite")
@@ -443,14 +431,13 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             parser.print_help()
             return 2
+        for name in DOMAINS:
+            _check(name, getattr(args, name, None))
         return int(args.func(args) or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError, OverflowError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -237,9 +237,8 @@ class TrialOutcome:
 
 @dataclass
 class SimulationReport:
-    """Aggregate of independent trials plus the verbatim configuration."""
+    """Aggregate of independent trials; the caller keeps the configuration."""
 
-    config: dict
     outcomes: list[TrialOutcome]
     moment_means: list[float]
     moment_ses: list[float]
@@ -256,7 +255,7 @@ class SimulationReport:
             for p in range(len(self.moment_means))
         ]
         ks = {"per_trial": self.ks_values, "mean": self.mean_ks}
-        return {"config": self.config, "moments": per_p, "ks": ks}
+        return {"moments": per_p, "ks": ks}
 
 
 def estimate_gram_bytes(m: int) -> int:
@@ -315,19 +314,7 @@ def run_trials(
         ses = [float(v) for v in mat.std(axis=0, ddof=1) / math.sqrt(trials)]
     else:
         ses = [0.0] * P
-    config = {
-        "n": n,
-        "k": k,
-        "m": m,
-        "c": c_ref,
-        "dist": dist.label,
-        "tau": [float(t) for t in tau_coeffs],
-        "p_max": P,
-        "trials": trials,
-        "seed": seed,
-        "zero_tol": zero_tol,
-    }
-    return SimulationReport(config, outcomes, means, ses, [o.ks for o in outcomes])
+    return SimulationReport(outcomes, means, ses, [o.ks for o in outcomes])
 
 
 def histogram_rows(samples, bins: int = 60) -> list[tuple[float, float, float]]:

@@ -97,8 +97,8 @@ def test_c08_gram_reduction_matches_dense():
 
 def test_c09_monte_carlo_convergence(mc_ladder):
     rep = mc_ladder[8]
-    m, nk = rep.config["m"], 8**4
-    assert rep.config["trials"] == LADDER_TRIALS == 20
+    m, nk = round(LADDER_C * 8**4), 8**4
+    assert len(rep.outcomes) == LADDER_TRIALS == 20
     # p = 1 is deterministic for phase entries: trace equals m/n^k
     assert abs(rep.moment_means[0] - m / nk) <= 5e-13
     for p in range(2, LADDER_P + 1):

@@ -5,15 +5,17 @@ One test starts a fresh interpreter to inspect what the import loads.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import tensormp
-from tensormp import claims
+from tensormp import claims, simulation
 from tensormp.cli import main
 
 
@@ -21,6 +23,10 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def no_trial(*args, **kwargs):
+    pytest.fail("a trial ran")
 
 
 def test_verify_suites_pass(capsys):
@@ -129,6 +135,17 @@ def test_simulate_memory_guard(capsys):
     rc, _, err = run(capsys, *"simulate --n 10 --k 5 --c 0.5 --trials 1".split())
     assert rc == 2
     assert "exceeds limit" in err
+
+
+def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
+    # one trial at m = 100 is estimated at 0.64 MB, two at once at 1.28 MB
+    argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 1e6".split()
+    monkeypatch.setattr(simulation, "run_trials", no_trial)
+    rc, _, err = run(capsys, *argv, "--threads", "2")
+    assert rc == 2 and "exceeds limit" in err
+    monkeypatch.undo()
+    rc, _, _ = run(capsys, *argv, "--threads", "1")
+    assert rc == 0
 
 
 def test_simulate_bad_tau_spec(capsys):
@@ -248,9 +265,8 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "usage error" in err and "bins" in err
     # values are checked like command-line values
     cfg.write_text(json.dumps({"c": 1.0, "p_max": 2.5}))
-    with pytest.raises(SystemExit) as exc:
-        main(["moments", "--config", str(cfg)])
-    assert exc.value.code == 2 and "invalid int value: '2.5'" in capsys.readouterr().err
+    rc, _, err = run(capsys, "moments", "--config", str(cfg))
+    assert rc == 2 and "invalid int value: '2.5'" in err
 
 
 def test_config_file_sets_simulate_bins(tmp_path, capsys):
@@ -260,6 +276,88 @@ def test_config_file_sets_simulate_bins(tmp_path, capsys):
     assert rc == 0
     hist = next(tmp_path.glob("*histogram.csv")).read_text().strip().split("\n")
     assert len(hist) == 2 + 1 + 5  # comment, header, zero-atom row, 5 bins
+
+
+FRONT_DOOR = {
+    "verify": "verify sequences --p-max 3",
+    "moments": "moments --c 0.5 --p-max 3 --n 2 --k 1 --m 1 --dist rademacher",
+    "simulate": "simulate --n 2 --k 2 --m 3 --trials 2 --seed 1 --p-max 2 --dense-check",
+    "mplaw": "mplaw --c 0.5 --grid-points 8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FRONT_DOOR))
+def test_one_config_names_and_heads_every_file(tmp_path, capsys, command):
+    rc, out, err = run(capsys, *FRONT_DOOR[command].split(), "--out", str(tmp_path))
+    assert rc == 0 and "wrote" not in out
+    files = sorted(tmp_path.iterdir())
+    assert sorted(re.findall(r"^wrote (.+)$", err, re.M)) == [str(f) for f in files]
+    configs = []
+    for f in files:
+        text = f.read_text()
+        if f.suffix == ".json":
+            configs.append(json.loads(text)["config"])
+        else:
+            head = text.split("\n", 1)[0]
+            assert head.startswith("# config=")
+            configs.append(json.loads(head[len("# config=") :]))
+    config = configs[0]
+    assert config["command"] == command and all(c == config for c in configs)
+    tag = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:12]
+    for f in files:
+        assert f.name.startswith(command + "_") and tag in re.split(r"[_.]", f.name)
+
+
+@pytest.mark.parametrize(
+    "argv", ["simulate --n 2 --k 1 --m 2 --trials 1", "moments --c 1 --p-max 2"]
+)
+def test_changed_tau_file_gets_new_names(tmp_path, capsys, argv):
+    tau, out = tmp_path / "tau.txt", tmp_path / "out"
+    counts = []
+    for values in ("1.0\n2.0\n", "2.0\n1.0\n"):
+        tau.write_text(values)
+        rc, _, _ = run(capsys, *argv.split(), "--tau", f"file:{tau}", "--out", str(out))
+        assert rc == 0
+        counts.append(len(list(out.iterdir())))
+    assert counts[1] == 2 * counts[0]
+
+
+def test_simulate_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *"simulate --n 2 --k 2 --m 3 --trials 1".split())
+    assert rc == 0 and "p=1: mean=" in out
+    assert list(tmp_path.iterdir()) == [] and "wrote" not in out + err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "moments --c inf",
+        "moments --c 1e200",
+        "moments --c 0.5 --p-max 3 --n 2 --dist rademacher",
+        "simulate --n 2 --k 1 --c inf",
+        "simulate --n 2 --k 1 --c 1e300",
+        "simulate --n 2 --k 1 --m 2 --zero-tol nan",
+        "simulate --n 2 --k 1 --m 2 --bins 0",
+        "mplaw --c inf",
+        "mplaw --c nan",
+        "mplaw --c 0.5 --x-max nan",
+        "mplaw --c 1.79e308",  # the default x_max = 1.05 b overflows
+    ],
+)
+def test_bad_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(simulation, "run_trials", no_trial)
+    rc, out, err = run(capsys, *argv.split(), "--out", str(tmp_path / "out"))
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_values_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "k": 1, "m": 2, "bins": 0}))
+    rc, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert rc == 2 and "usage error: --bins=0 must be >= 1" in err
 
 
 def test_mplaw_writes_file(tmp_path, capsys):
