@@ -6,6 +6,8 @@ the walk-graph expansion of mean trace moments and evaluates it in
 exact rational arithmetic. The numerical half (``simulation``,
 ``mplaw``) samples the random model, reduces it through its Gram
 matrix, and compares empirical spectra against the limiting law.
+The imports below are the public API; the brute-force oracles live in
+``tensormp.claims``.
 """
 
 from .combinatorics import bell, c1_count, falling_factorial, stirling2
@@ -49,7 +51,6 @@ from .simulation import (
     EntryDistribution,
     SimulationReport,
     SpectrumSample,
-    dense_matrix,
     esd,
     gram_matrix,
     hermitian_eigenvalues,
@@ -59,54 +60,3 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "P_CAP",
-    "EntryDistribution",
-    "GraphClass",
-    "MPLaw",
-    "MixedMomentRule",
-    "NumericalError",
-    "PHASE",
-    "RADEMACHER",
-    "SimulationReport",
-    "SpectrumSample",
-    "TauModel",
-    "WalkGraph",
-    "bell",
-    "build_graph",
-    "c1_count",
-    "canonicalize",
-    "carleman_check",
-    "cdf",
-    "classify",
-    "count_consecutive_violations",
-    "degree",
-    "delta1_partner",
-    "dense_matrix",
-    "density",
-    "dump_graph",
-    "enumerate_canonical",
-    "esd",
-    "exact_mean_trace_moment",
-    "falling_factorial",
-    "gram_matrix",
-    "graph_expectation_weight",
-    "hermitian_eigenvalues",
-    "inner_factor",
-    "is_canonical",
-    "is_crossing",
-    "is_delta1",
-    "ks_distance",
-    "limiting_moment",
-    "mp_moment",
-    "paired_partners",
-    "quadrature_moment",
-    "rademacher_rule",
-    "roots_of_unity_rule",
-    "run_trials",
-    "sample_base_vectors",
-    "stirling2",
-    "trace_moments",
-    "uniform_phase_rule",
-]

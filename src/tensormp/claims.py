@@ -108,6 +108,29 @@ def noncrossing_limit_sum(p: int, c: float, tau: moments.TauModel) -> float:
     return float(total)
 
 
+def dense_matrix(vecs: np.ndarray, tau) -> np.ndarray:
+    """The n^k x n^k matrix sum_a tau_a Y_a Y_a^* by explicit tensor products."""
+    m, k, n = vecs.shape
+    M = np.zeros((n**k, n**k), dtype=np.complex128)
+    for a in range(m):
+        Y = vecs[a, 0]
+        for l in range(1, k):
+            Y = np.kron(Y, vecs[a, l])
+        M += tau[a] * np.outer(Y, Y.conj())
+    return M
+
+
+def dense_check(sample, vecs: np.ndarray, tau, P: int = 0) -> tuple[float, list[float]]:
+    """One realization through its n^k x n^k matrix: the largest deviation of
+    the sample's spectrum, zero atom included, from the dense spectrum, and
+    the dense (1/n^k) Tr M^p for p = 1..P."""
+    lam = simulation.hermitian_eigenvalues(dense_matrix(vecs, tau))
+    red = np.sort(np.concatenate([np.zeros(sample.zero_multiplicity), sample.nonzero_eigenvalues]))
+    if red.shape != lam.shape:
+        raise ValueError(f"sample has dimension {red.size}, the dense matrix {lam.size}")
+    return float(np.max(np.abs(lam - red))), [float(np.sum(lam**p)) / lam.size for p in range(1, P + 1)]
+
+
 def exhaustive_mean_trace(n: int, k: int, m: int, p: int, taus, alphabet) -> float:
     """(1/n^k) Tr M^p averaged over every assignment of entries from alphabet.
 
@@ -116,7 +139,7 @@ def exhaustive_mean_trace(n: int, k: int, m: int, p: int, taus, alphabet) -> flo
     total = 0.0
     for entries in itertools.product(alphabet, repeat=n * m * k):
         xs = np.array(entries, dtype=complex).reshape(m, k, n) / math.sqrt(n)
-        M = simulation.dense_matrix(xs, taus)
+        M = dense_matrix(xs, taus)
         total += float(np.trace(np.linalg.matrix_power(M, p)).real) / n**k
     return total / len(alphabet) ** (n * m * k)
 
@@ -271,6 +294,15 @@ def _quadrature(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
             got, want = mplaw.quadrature_moment(p, c), moments.mp_moment(p, c)
             if abs(got - want) > 1e-6:
                 yield f"c={c} p={p} quadrature={got!r} narayana={want!r}"
+
+
+@_claim("moments", "law mass", "1e-8<=c<=1e300", "cdf(1.05 b) = 1, mass min(1, c), rel error <= 1e-12")
+def _law_mass(p_max, cs=(1e-8, 0.25, 1.0, 2.0, 1e8, 1e16, 1e30, 1e100, 1e300)):
+    # above b, not at b: at c = 1e300 the edges a and b are the same double
+    for c in cs:
+        top, mass = mplaw.cdf(1.05 * mplaw.MPLaw(c).b, c), mplaw.quadrature_moment(0, c)
+        if abs(top - 1.0) > 1e-12 or abs(mass - min(1.0, c)) > 1e-12 * min(1.0, c):
+            yield f"c={c} cdf(1.05 b)={top!r} mass={mass!r}"
 
 
 @_claim("moments", "exact oracle vs exhaustive", "p<={p}", "abs error <= 1e-12 at n=m=2", cap=3)

@@ -79,8 +79,9 @@ def _digest(obj) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _config_line(config: dict) -> str:
-    return "config=" + json.dumps(config, sort_keys=True)
+def _head(config: dict, text: str) -> str:
+    """text under the "# config=" line that starts every text output."""
+    return f"# config={json.dumps(config, sort_keys=True)}\n{text}"
 
 
 def _outputs(args, config: dict, prefix: str, *suffixes: str):
@@ -193,7 +194,7 @@ def cmd_verify(args) -> int:
     lines.append(f"OVERALL {overall} suite={args.suite} claims={len(suite)} failed={n_fail}")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    write(f"# {_config_line(config)}\n" + report)
+    write(_head(config, report))
     return 0 if n_fail == 0 else 4
 
 
@@ -232,7 +233,7 @@ def cmd_moments(args) -> int:
     for p in range(1, args.p_max + 1):
         theory = moments.limiting_moment(p, args.c, tau)
         rows.append((p, theory, exact_fn(p) if exact_fn is not None else None))
-    csv_text = moments.moment_table_csv(rows, config_line=_config_line(config))
+    csv_text = _head(config, moments.moment_table_csv(rows))
     sys.stdout.write(csv_text)
     write(csv_text)
     return 0
@@ -290,31 +291,24 @@ def cmd_simulate(args) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    dense, worst = {}, 0.0  # --dense-check: each trial through the n^k-dimensional matrix
+    dense = {}  # --dense-check: each trial through the n^k-dimensional matrix
     if args.dense_check:
         for o in report.outcomes:
             vecs = simulation.sample_base_vectors(args.n, args.k, m, dist, args.seed, trial=o.trial)
-            lam = simulation.hermitian_eigenvalues(simulation.dense_matrix(vecs, np.asarray(coeffs)))
-            s = o.sample
-            lam_red = np.sort(np.concatenate([np.zeros(s.zero_multiplicity), s.nonzero_eigenvalues]))
-            worst = max(worst, float(np.max(np.abs(lam - lam_red))))
-            for p in range(1, args.p_max + 1):
-                dense[o.trial, p] = float(np.sum(lam**p)) / nk
-
-    head = f"# {_config_line(config)}"
+            dense[o.trial] = claims.dense_check(o.sample, vecs, coeffs, args.p_max)
     rows = simulation.histogram_rows([o.sample for o in report.outcomes], bins=args.bins)
-    hist = [head, "bin_left,bin_right,mass", *(f"{l!r},{r!r},{w!r}" for l, r, w in rows)]
-    mom = [head, "trial,p,value" + (",dense_value,abs_diff" if args.dense_check else "")]
+    hist = ["bin_left,bin_right,mass", *(f"{l!r},{r!r},{w!r}" for l, r, w in rows)]
+    mom = ["trial,p,value" + (",dense_value,abs_diff" if args.dense_check else "")]
     for o in report.outcomes:
-        for p, v in enumerate(o.sample.trace_moments, start=1):
-            dv = dense.get((o.trial, p))
+        dvs = dense[o.trial][1] if args.dense_check else [None] * args.p_max
+        for p, (v, dv) in enumerate(zip(o.sample.trace_moments, dvs), start=1):
             mom.append(f"{o.trial},{p},{v!r}" + ("" if dv is None else f",{dv!r},{abs(v - dv)!r}"))
     payload = {"config": config, **report.to_json_dict()}
     if args.dense_check:
-        payload["dense_check"] = {"max_eigenvalue_deviation": worst}
+        payload["dense_check"] = {"max_eigenvalue_deviation": max(d for d, _ in dense.values())}
     write(
-        "\n".join(hist) + "\n",
-        "\n".join(mom) + "\n",
+        _head(config, "\n".join(hist) + "\n"),
+        _head(config, "\n".join(mom) + "\n"),
         json.dumps(payload, sort_keys=True, indent=2) + "\n",
     )
 
@@ -346,7 +340,7 @@ def cmd_mplaw(args) -> int:
     xs = np.linspace(lo, hi, args.grid_points)
     if law.atom > 0 and lo <= 0.0 <= hi:
         xs = np.unique(np.append(xs, 0.0))  # make the atom row explicit
-    text = mplaw.law_table_csv(args.c, xs, config_line=_config_line(config))
+    text = _head(config, mplaw.law_table_csv(args.c, xs))
     if args.out is None:
         sys.stdout.write(text)
     write(text)

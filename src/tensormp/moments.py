@@ -255,17 +255,13 @@ def exact_mean_trace_moment(
     return float(total / Fraction(n) ** k)
 
 
-def moment_table_csv(rows: Iterable[tuple[int, float, float | None]], config_line: str | None = None) -> str:
+def moment_table_csv(rows: Iterable[tuple[int, float, float | None]]) -> str:
     """CSV with columns p, theory, exact_or_mc, abs_error.
 
     ``rows`` yields (p, theory, value) with value None when no comparison
-    quantity is available; an optional leading comment line echoes the
-    producing configuration.
+    quantity is available.
     """
-    lines = []
-    if config_line is not None:
-        lines.append(f"# {config_line}")
-    lines.append("p,theory,exact_or_mc,abs_error")
+    lines = ["p,theory,exact_or_mc,abs_error"]
     for p_, theory, value in rows:
         if value is None:
             lines.append(f"{p_},{theory!r},,")

@@ -4,8 +4,9 @@ The law with ratio parameter c > 0 has continuous density
 sqrt((b - x)(x - a)) / (2 pi x) on [a, b] with a = (1 - sqrt(c))^2 and
 b = (1 + sqrt(c))^2, plus a point mass 1 - c at zero when c < 1. The
 inverse-square-root edge singularities are removed by substituting
-x = a + (b - a) sin^2(theta), after which every integrand here is smooth
-and fixed-order Gauss-Legendre quadrature converges to machine accuracy.
+x = a + (b - a) sin^2(theta), with b - a taken as 4 sqrt(c), after which
+every integrand here is smooth and fixed-order Gauss-Legendre quadrature
+converges to machine accuracy.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ class MPLaw:
         return (1.0 + math.sqrt(self.c)) ** 2
 
     @property
+    def width(self) -> float:
+        """b - a as 4 sqrt(c): b - a itself loses every bit once 4 sqrt(c) < ulp(a)."""
+        return 4.0 * math.sqrt(self.c)
+
+    @property
     def atom(self) -> float:
         """Mass at zero; the continuous part carries min(1, c)."""
         return max(0.0, 1.0 - self.c)
@@ -62,19 +68,19 @@ def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
 
 def _integrand_theta(law: MPLaw, theta: np.ndarray, power: int = 0) -> np.ndarray:
     """x(theta)^power * p(x(theta)) * dx/dtheta, smooth on [0, pi/2]."""
-    a, b = law.a, law.b
+    a, w = law.a, law.width
     if a == 0.0:
-        # c = 1: the 1/x pole cancels, leaving (b / pi) cos^2(theta)
-        base = (b / math.pi) * np.cos(theta) ** 2
-        x = b * np.sin(theta) ** 2
+        # c = 1, b = w = 4: the 1/x pole cancels, leaving (b / pi) cos^2(theta)
+        base = (w / math.pi) * np.cos(theta) ** 2
+        x = w * np.sin(theta) ** 2
     else:
-        x = a + (b - a) * np.sin(theta) ** 2
-        base = (b - a) ** 2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * x)
+        x = a + w * np.sin(theta) ** 2
+        base = w**2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * x)
     return base if power == 0 else x ** power * base
 
 
 def _theta_of_x(law: MPLaw, x: np.ndarray) -> np.ndarray:
-    frac = np.clip((x - law.a) / (law.b - law.a), 0.0, 1.0)
+    frac = np.clip((x - law.a) / law.width, 0.0, 1.0)
     return np.arcsin(np.sqrt(frac))
 
 
@@ -161,15 +167,12 @@ def ks_distance(sample, c: float) -> float:
     )
 
 
-def law_table_csv(c: float, xs, config_line: str | None = None) -> str:
+def law_table_csv(c: float, xs) -> str:
     """CSV with columns x, pdf, cdf over an ascending grid."""
     law = MPLaw(c)
     xs = np.asarray(sorted(float(v) for v in xs))
     cont = continuous_cdf_sorted(xs, c)
-    lines = []
-    if config_line is not None:
-        lines.append(f"# {config_line}")
-    lines.append("x,pdf,cdf")
+    lines = ["x,pdf,cdf"]
     for x, fc in zip(xs, cont):
         f = fc + law.atom * (x >= 0.0)
         lines.append(f"{float(x)!r},{density(x, c)!r},{float(min(1.0, f))!r}")

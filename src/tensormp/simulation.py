@@ -337,20 +337,3 @@ def histogram_rows(samples, bins: int = 60) -> list[tuple[float, float, float]]:
             for i in range(len(counts))
         )
     return rows
-
-
-def dense_matrix(vecs: np.ndarray, tau) -> np.ndarray:
-    """The full n^k x n^k matrix, for tiny cross-checks only.
-
-    Materializes sum_a tau_a Y_a Y_a^* by explicit tensor products; meant
-    for n^k small enough to eyeball (the tests cap it at 64).
-    """
-    m, k, n = vecs.shape
-    nk = n ** k
-    M = np.zeros((nk, nk), dtype=np.complex128)
-    for a in range(m):
-        Y = vecs[a, 0]
-        for l in range(1, k):
-            Y = np.kron(Y, vecs[a, l])
-        M += tau[a] * np.outer(Y, Y.conj())
-    return M

@@ -147,9 +147,8 @@ def test_inner_factor_collapse_for_phase():
 def test_moment_table_csv():
     from tensormp.moments import moment_table_csv
 
-    text = moment_table_csv([(1, 1.0, 1.0), (2, 2.0, None)], config_line="config={}")
+    text = moment_table_csv([(1, 1.0, 1.0), (2, 2.0, None)])
     lines = text.strip().split("\n")
-    assert lines[0] == "# config={}"
-    assert lines[1] == "p,theory,exact_or_mc,abs_error"
-    assert lines[2] == "1,1.0,1.0,0.0"
-    assert lines[3] == "2,2.0,,"
+    assert lines[0] == "p,theory,exact_or_mc,abs_error"
+    assert lines[1] == "1,1.0,1.0,0.0"
+    assert lines[2] == "2,2.0,,"

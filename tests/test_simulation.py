@@ -5,6 +5,7 @@ import pytest
 
 import tensormp as t
 from tensormp import EntryDistribution, NumericalError
+from tensormp.claims import dense_check
 from tensormp.simulation import estimate_gram_bytes, histogram_rows, trial_rng
 
 
@@ -51,12 +52,7 @@ def test_gram_matches_dense_spectrum():
         tau = np.array([1.0, 2.0, 0.5, 1.0, 3.0])
         G = t.gram_matrix(vecs)
         s = t.esd(G, tau, 8, seed=3, dims=(2, 3, 5))
-        dense = t.hermitian_eigenvalues(t.dense_matrix(vecs, tau))
-        red = np.sort(
-            np.concatenate([np.zeros(s.zero_multiplicity), s.nonzero_eigenvalues])
-        )
-        assert red.shape == dense.shape
-        assert np.max(np.abs(red - dense)) < 1e-10
+        assert dense_check(s, vecs, tau)[0] < 1e-10  # raises if the dimensions differ
 
 
 def test_trace_moments_match_dense_powers():
@@ -64,10 +60,10 @@ def test_trace_moments_match_dense_powers():
     vecs = t.sample_base_vectors(3, 2, 6, d, seed=11)
     tau = np.linspace(0.5, 2.0, 6)
     G = t.gram_matrix(vecs)
-    lam = t.hermitian_eigenvalues(t.dense_matrix(vecs, tau))
+    _, dense = dense_check(t.esd(G, tau, 9), vecs, tau, P=5)
     got = t.trace_moments(G, tau, 5, 9)
     for p in range(1, 6):
-        assert got[p - 1] == pytest.approx(float(np.sum(lam**p)) / 9, abs=1e-12)
+        assert got[p - 1] == pytest.approx(dense[p - 1], abs=1e-12)
 
 
 def test_trace_moments_zero_tau():
