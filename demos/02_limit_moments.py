@@ -3,7 +3,9 @@
 The combinatorial column is the sum over non-crossing sequences that the
 moment method leaves (``tensormp.claims.noncrossing_limit_sum``); the
 library's ``limiting_moment`` reaches the same numbers by the
-free-cumulant recursion.
+free-cumulant recursion. A k-sweep at fixed n = 2 shows the exact moment
+of unit-circle entries reaching the Marchenko-Pastur value, while
+Rademacher entries reach the Poisson(c) moment instead.
 
 Run:  PYTHONPATH=src python3 demos/02_limit_moments.py
 """
@@ -45,6 +47,17 @@ def main():
     for p in (1, 2, 3):
         em = t.exact_mean_trace_moment(2, 2, 2, p, tau, t.rademacher_rule())
         print(f"  n=2 k=2 m=2 rademacher, p={p}: mean trace moment = {em}")
+    print()
+
+    print("Fixed n = 2, k growing, m = c n^k at c = 0.5, p = 4 (the exact oracle")
+    print("takes one coefficient for all m equal weights, so k = 64 is cheap):")
+    limit, poisson = t.mp_moment(4, 0.5), 0.5 + 7 * 0.5**2 + 6 * 0.5**3 + 0.5**4
+    print(f"  MP limit {limit}, Poisson(c) 4th moment {poisson}")
+    for k in (4, 8, 16, 32, 64):
+        m = round(0.5 * 2**k)
+        phase = t.exact_mean_trace_moment(2, k, m, 4, tau1, t.uniform_phase_rule())
+        rad = t.exact_mean_trace_moment(2, k, m, 4, tau1, t.rademacher_rule())
+        print(f"  k={k:>2}: phase error vs MP {abs(phase - limit):.2g}, rademacher {rad:.6g}")
     print()
 
     moments6 = [t.mp_moment(p, 1.0) for p in range(1, 7)]

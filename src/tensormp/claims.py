@@ -337,3 +337,32 @@ def _inner_factor(p_max, ns=(5,)):
         for a, _ in _sequences(p_max, noncrossing=True):
             if moments.inner_factor(a, n, phase) != Fraction(n) ** (1 - max(a)):
                 yield f"n={n} alpha={a}"
+
+
+@_claim("moments", "fixed-n limit", "p<={p}",
+        "n=2, k=64, m=2^63: phase = MP, rademacher = Poisson(c), rel error <= 1e-8", cap=5)
+def _fixed_n_limit(p_max):
+    # the paper's regime, k -> infinity at fixed n; at n = 2 every +-1 tensor is a
+    # signed Hadamard vector, so Rademacher eigenvalues are Binomial(m, 2^-k) counts
+    n, k, m = 2, 64, 2**63
+    c, tau = Fraction(m, n**k), moments.TauModel.constant(1.0)
+    for p in range(1, p_max + 1):
+        phase = moments.exact_mean_trace_moment(n, k, m, p, tau, moments.uniform_phase_rule())
+        mp = moments.mp_moment(p, float(c))
+        rad = moments.exact_mean_trace_moment(n, k, m, p, tau, moments.rademacher_rule())
+        poisson = float(sum(comb.stirling2(p, s) * c**s for s in range(1, p + 1)))
+        if abs(phase - mp) > 1e-8 * mp or abs(rad - poisson) > 1e-8 * poisson:
+            yield f"p={p} phase={phase!r} mp={mp!r} rademacher={rad!r} poisson={poisson!r}"
+
+
+@_claim("moments", "crossing decay", "p<={p}",
+        "n^(s-1) inner factor <= (2n-1)/n^2 < 1 for crossing alpha, phase, n=2,3", cap=5)
+def _crossing_decay(p_max, ns=(2, 3)):
+    # non-crossing alpha give exactly 1 (the collapse above), so crossing ones vanish as k grows
+    phase = moments.uniform_phase_rule()
+    for n in ns:
+        for a, _ in _sequences(p_max):
+            if sequences.is_crossing(a):
+                r = Fraction(n) ** (max(a) - 1) * moments.inner_factor(a, n, phase)
+                if r > Fraction(2 * n - 1, n * n):
+                    yield f"n={n} alpha={a} r={r}"

@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,10 +112,10 @@ def _outputs(args, config: dict, prefix: str, *suffixes: str):
 
 
 def _parse_tau(spec: str, m: int | None):
-    """Returns (coefficients tuple or None, moments tuple or None, label).
-
-    The label of a file: or moments: spec carries a digest of the parsed
-    values, so a changed file at the same path gets new output names.
+    """Returns (TauModel, label). const:v is the one-value model, which
+    stands for m equal weights; a file: tau needs m entries when m is
+    given. The label of a file: or moments: spec carries a digest of the
+    parsed values, so a changed file at the same path gets new output names.
     """
     kind, _, arg = spec.partition(":")
     if kind == "const":
@@ -130,12 +131,10 @@ def _parse_tau(spec: str, m: int | None):
         raise UsageError(f"--tau {spec!r} holds a value that is NaN or infinite")
     label = spec if kind == "const" else f"{spec}#{_digest(values)}"
     if kind == "moments":
-        return None, values, label
-    if kind == "const":
-        values *= m if m is not None else 1
-    elif m is not None and len(values) != m:
+        return moments.TauModel(moments=values), label
+    if kind == "file" and m is not None and len(values) != m:
         raise UsageError(f"tau file has {len(values)} entries but m={m}")
-    return values, None, label
+    return moments.TauModel(coefficients=values), label
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -171,8 +170,8 @@ def _require(args, *names):
 
 
 def _warn_ratio(c, n: int, k: int, m: int) -> None:
-    if c is not None and round(c * n**k) != m:
-        print(f"warning: m={m} differs from round(c*n^k)={round(c * n**k)}", file=sys.stderr)
+    if c is not None and (want := round(Fraction(c) * n**k)) != m:
+        print(f"warning: m={m} differs from round(c*n^k)={want}", file=sys.stderr)
 
 
 # ------------------------------------------------------------ verify suite
@@ -205,17 +204,16 @@ def cmd_moments(args) -> int:
     dims = (args.n, args.k, args.m)
     if None in dims and dims != (None, None, None):
         raise UsageError("the exact column needs all of --n, --k and --m, or none of them")
-    coeffs, mom, tau_label = _parse_tau(args.tau, args.m)
+    tau, tau_label = _parse_tau(args.tau, args.m)
     exact_fn = None
     if args.m is not None:
-        if coeffs is None:
+        if tau.coefficients is None:
             raise UsageError("exact finite-size column needs explicit tau coefficients")
         rule = simulation.EntryDistribution.parse(args.dist).mixed_moment_rule()
-        exact_tau = moments.TauModel(coefficients=coeffs)
-        exact_fn = lambda p: moments.exact_mean_trace_moment(*dims, p, exact_tau, rule)
+        exact_fn = lambda p: moments.exact_mean_trace_moment(*dims, p, tau, rule)
         _warn_ratio(args.c, *dims)
     elif args.tau.startswith("const:"):
-        exact_fn = lambda p: coeffs[0] ** p * moments.mp_moment(p, args.c)
+        exact_fn = lambda p: tau.coefficients[0] ** p * moments.mp_moment(p, args.c)
     config = {
         "command": "moments",
         "p_max": args.p_max,
@@ -228,7 +226,6 @@ def cmd_moments(args) -> int:
     }
     write = _outputs(args, config, "moments", ".csv")
 
-    tau = moments.TauModel(coefficients=coeffs, moments=mom)
     rows = []
     for p in range(1, args.p_max + 1):
         theory = moments.limiting_moment(p, args.c, tau)
@@ -259,9 +256,10 @@ def cmd_simulate(args) -> int:
             f"estimated working set {need / 1e9:.2f} GB ({concurrent} concurrent trials at "
             f"m={m}) exceeds limit {args.mem_limit / 1e9:.2f} GB; raise --mem-limit or lower --threads"
         )
-    coeffs, _, tau_label = _parse_tau(args.tau, m)
-    if coeffs is None:
+    tau, tau_label = _parse_tau(args.tau, m)
+    if tau.coefficients is None:
         raise UsageError("simulation needs explicit tau coefficients, not moments")
+    coeffs = tau.coefficients * (m // len(tau.coefficients))  # m weights, const: expanded
     dist = simulation.EntryDistribution.parse(args.dist)
     if args.dense_check and nk > 64:
         raise UsageError(f"--dense-check limited to n^k <= 64, got {nk}")

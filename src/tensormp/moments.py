@@ -35,11 +35,15 @@ from .sequences import degree, enumerate_canonical
 class TauModel:
     """Weight coefficients, their limiting moments, or both.
 
-    ``coefficients`` are the explicit weights tau_1..tau_m used by the
-    exact finite-size oracle and the simulator. ``moments`` holds the
-    limiting averages m_q = lim (1/m) sum tau_j^q with moments[q-1] = m_q.
-    When only coefficients are given, empirical averages stand in for the
-    limiting moments.
+    The one owner of the weights: consumers read them only through the
+    exact averages ``mean_power(q)`` = (1/len) sum tau_j^q, or the power
+    sums m times those. ``coefficients`` are either all m weights
+    tau_1..tau_m or one value standing for m equal weights, so a
+    constant model costs nothing in m. ``moments`` holds the limiting
+    averages m_q = lim (1/m) sum tau_j^q with moments[q-1] = m_q; it
+    feeds the limit only, since declared moments need not be the power
+    sums of any m real weights. When only coefficients are given, their
+    averages stand in for the limiting moments.
     """
 
     coefficients: tuple[float, ...] | None = None
@@ -53,24 +57,25 @@ class TauModel:
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "TauModel":
-        """The constant model tau = value, as the single coefficient (value,).
-
-        One copy is enough for moment queries, since the empirical
-        moments of (value,) are value^q at every order.
-        """
+        """The constant model tau = value, as the single coefficient (value,),
+        which stands for m equal weights at every m."""
         return cls(coefficients=(float(value),))
 
+    def mean_power(self, q: int) -> Fraction:
+        """The exact average (1/len) sum_j coefficients[j]^q."""
+        if self.coefficients is None:
+            raise ValueError("TauModel has no coefficients, only declared moments")
+        return sum(Fraction(t) ** q for t in self.coefficients) / len(self.coefficients)
+
     def moment(self, q: int) -> float:
-        """m_q, preferring declared limiting moments over empirical ones."""
+        """m_q, preferring declared limiting moments over mean_power(q)."""
         if q < 1:
             raise ValueError(f"moment order must be >= 1, got {q}")
         if self.moments is not None:
             if q > len(self.moments):
                 raise ValueError(f"m_{q} not provided (have q <= {len(self.moments)})")
             return self.moments[q - 1]
-        # exact rational average, converted once
-        acc = sum(Fraction(t) ** q for t in self.coefficients)
-        return float(acc / len(self.coefficients))
+        return float(self.mean_power(q))
 
 
 @dataclass(frozen=True)
@@ -191,24 +196,17 @@ def inner_factor(alpha, n: int, rule: MixedMomentRule) -> Fraction:
     return total / Fraction(n) ** p
 
 
-def _injection_sum(degrees: Sequence[int], coeffs: Sequence[float]) -> Fraction:
-    """Sum over injections phi of prod_t coeffs[phi(t)]^degrees[t].
+def _injection_sum(degrees: Sequence[int], m: int, power: Sequence[Fraction]) -> Fraction:
+    """Sum over injections phi: {1..s} -> {1..m} of prod_t tau_phi(t)^degrees[t].
 
+    ``power[d]`` is the power sum sum_j tau_j^d of the m weights.
     Inclusion-exclusion over set partitions of the s degree slots: each
     partition contributes prod_blocks (-1)^(|B|-1) (|B|-1)! times the
-    power sum of the block's total degree. Cost is Bell(s) plus one
-    power-sum pass per distinct block degree, never m!/(m-s)! work.
+    power sum of the block's total degree. Cost is Bell(s), whatever m.
     """
     s = len(degrees)
-    if s > len(coeffs):
+    if s > m:
         return Fraction(0)
-    power_sums: dict[int, Fraction] = {}
-
-    def pow_sum(d: int) -> Fraction:
-        if d not in power_sums:
-            power_sums[d] = sum((Fraction(t) ** d for t in coeffs), Fraction(0))
-        return power_sums[d]
-
     total = Fraction(0)
     for pi in enumerate_canonical(s):  # set partitions as block-label sequences
         blocks: dict[int, list[int]] = {}
@@ -218,7 +216,7 @@ def _injection_sum(degrees: Sequence[int], coeffs: Sequence[float]) -> Fraction:
         for members in blocks.values():
             d = sum(degrees[t] for t in members)
             sign = -1 if len(members) % 2 == 0 else 1
-            term *= sign * math.factorial(len(members) - 1) * pow_sum(d)
+            term *= sign * math.factorial(len(members) - 1) * power[d]
         total += term
     return total
 
@@ -235,20 +233,22 @@ def exact_mean_trace_moment(
 
     Evaluates, over canonical row sequences alpha with s distinct values,
     the injection-weighted tau factor times inner_factor(alpha, n, rule)
-    raised to the k-th power, all divided by n^k. Exact up to the final
-    float conversion, which makes it the reference oracle for both the
-    Monte Carlo sampler and the limiting formula.
+    raised to the k-th power, all divided by n^k. ``tau`` holds m
+    coefficients or one (m equal weights); they enter only through the
+    power sums m * tau.mean_power(d), d <= p, built once, so k is only
+    an exponent and one coefficient costs nothing in m. Exact up to the
+    final float conversion, which makes it the reference oracle for both
+    the Monte Carlo sampler and the limiting formula.
     """
-    if tau.coefficients is None:
-        raise ValueError("exact oracle needs explicit tau coefficients")
-    if len(tau.coefficients) != m:
-        raise ValueError(f"got {len(tau.coefficients)} coefficients for m={m}")
+    if tau.coefficients is not None and len(tau.coefficients) not in (1, m):
+        raise ValueError(f"got {len(tau.coefficients)} coefficients for m={m}; need m or 1")
     assert n >= 1 and k >= 1 and m >= 1
+    power = [None] + [m * tau.mean_power(d) for d in range(1, p + 1)]
     total = Fraction(0)
     for alpha in enumerate_canonical(p):
         s = max(alpha)
         degrees = [degree(alpha, t) for t in range(1, s + 1)]
-        tau_fac = _injection_sum(degrees, tau.coefficients)
+        tau_fac = _injection_sum(degrees, m, power)
         if tau_fac == 0:
             continue
         total += tau_fac * inner_factor(alpha, n, rule) ** k

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per headline claim, at the stated sizes.
 
-Claims c01-c07 are entries of ``tensormp.claims``, the registry that
-``tensormp verify`` also runs; each test here runs its claim at the
+Claims c01-c07 and c13 are entries of ``tensormp.claims``, the registry
+that ``tensormp verify`` also runs; each test here runs its claim at the
 range it states and fails with the first counterexample. c08-c12 are
 stated here. Each test prints a single summary line on success.
 """
@@ -150,3 +150,11 @@ def test_c12_byte_identical_determinism(tmp_path):
         r2.to_json_dict(), sort_keys=True
     )
     print("ACCEPTANCE 12 PASS byte-identical outputs across reruns and thread counts")
+
+
+def test_c13_fixed_n_regime():
+    # the paper's regime: n = 2 fixed, k = 64, m = c n^k with c = 1/2
+    assert CLAIMS["fixed-n limit"].run(5) is None
+    assert CLAIMS["crossing decay"].run(5) is None
+    print("ACCEPTANCE 13 PASS fixed n=2, k=64: phase = MP and rademacher = Poisson to 1e-8 "
+          "for p <= 5; crossing decay r <= (2n-1)/n^2 at n = 2, 3")

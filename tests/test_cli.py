@@ -93,6 +93,14 @@ def test_moments_with_exact_column(capsys):
     # n=2, m=1: M has one eigenvalue 1, so (1/n) tr M^p = 1/2 at every p
     assert float(rows[0][2]) == pytest.approx(0.5, abs=1e-14)
     assert float(rows[1][2]) == pytest.approx(0.5, abs=1e-14)
+    # fixed n = 2 at k = 64, m = c n^k: one coefficient stands for all 2^63 weights
+    rc, out, _ = run(capsys, *f"moments --c 0.5 --n 2 --k 64 --m {2**63}".split())
+    assert rc == 0
+    for _, theory, exact, _ in (line.split(",") for line in out.strip().split("\n")[2:]):
+        assert abs(float(exact) - float(theory)) <= 1e-8 * float(theory)
+    # round(c n^k) is far beyond float range: a warning, not an error
+    rc, _, err = run(capsys, *"moments --c 0.5 --n 2 --k 1100 --m 1".split())
+    assert rc == 0 and "warning: m=1 differs from round(c*n^k)" in err
 
 
 def test_moments_requires_c(capsys):

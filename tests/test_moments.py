@@ -121,7 +121,12 @@ def test_exact_oracle_requires_coefficients():
     with pytest.raises(ValueError):
         t.exact_mean_trace_moment(2, 1, 2, 2, TauModel(moments=(1.0, 1.0)), t.rademacher_rule())
     with pytest.raises(ValueError):
-        t.exact_mean_trace_moment(2, 1, 3, 2, TauModel(coefficients=(1.0,)), t.rademacher_rule())
+        t.exact_mean_trace_moment(2, 1, 3, 2, TauModel(coefficients=(1.0, 1.0)), t.rademacher_rule())
+    # one coefficient stands for m equal weights
+    for p in (1, 2, 3):
+        assert t.exact_mean_trace_moment(
+            2, 1, 3, p, TauModel.constant(1.0), t.rademacher_rule()
+        ) == t.exact_mean_trace_moment(2, 1, 3, p, TauModel(coefficients=(1.0,) * 3), t.rademacher_rule())
 
 
 def test_phase_weight_vanishes_unless_paired():
