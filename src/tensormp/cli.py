@@ -250,7 +250,7 @@ def cmd_simulate(args) -> int:
         _warn_ratio(args.c, args.n, args.k, m)
     c_ref = args.c if args.c is not None else m / nk
     concurrent = min(args.threads, args.trials)
-    need = simulation.estimate_gram_bytes(m) * concurrent
+    need = simulation.estimate_gram_bytes(m, nk) * concurrent
     if need > args.mem_limit:
         raise UsageError(
             f"estimated working set {need / 1e9:.2f} GB ({concurrent} concurrent trials at "
@@ -260,6 +260,9 @@ def cmd_simulate(args) -> int:
     if tau.coefficients is None:
         raise UsageError("simulation needs explicit tau coefficients, not moments")
     coeffs = tau.coefficients * (m // len(tau.coefficients))  # m weights, const: expanded
+    if simulation.constant_weight(coeffs) is None:
+        print("warning: KS is measured against the tau = 1 law, which is not this run's limit",
+              file=sys.stderr)
     dist = simulation.EntryDistribution.parse(args.dist)
     if args.dense_check and nk > 64:
         raise UsageError(f"--dense-check limited to n^k <= 64, got {nk}")

@@ -3,11 +3,17 @@
 A configuration (n, k, m) describes the matrix sum of m rank-one terms
 tau_alpha Y_alpha Y_alpha^*, where each Y_alpha is the k-fold tensor
 product of independent length-n vectors with i.i.d. unit-modulus entries
-scaled by n^(-1/2). The ambient dimension n^k is never materialized:
-inner products factor across tensor legs, so everything runs on the
-m x m Gram matrix. Nonzero eigenvalues of the model equal those of
-D_tau^(1/2) G D_tau^(1/2), and the zero eigenvalue keeps multiplicity
-n^k - rank as an exact integer.
+scaled by n^(-1/2). Each trial is solved on the smaller of its two
+sides, so no matrix larger than min(m, n^k) squared is eigensolved:
+- m <= n^k: inner products factor across tensor legs, so the trial runs
+  on the m x m Gram matrix G, and the nonzero eigenvalues of the model
+  equal those of D_tau^(1/2) G D_tau^(1/2);
+- m > n^k: the n^k x m matrix Y of tensor vectors is built and the
+  n^k x n^k model matrix M = Y D_tau Y^* itself is eigensolved; it is
+  Hermitian for every real tau.
+The zero eigenvalue keeps multiplicity n^k - (number of nonzero
+eigenvalues) as an exact integer. Rademacher entries are real, so their
+trials run in real arithmetic on either side.
 
 Reproducibility: random streams come from numpy's counter-based Philox
 generator keyed by SeedSequence((seed, trial)), so any trial can be
@@ -67,11 +73,12 @@ class EntryDistribution:
         return f"roots:{self.q}" if self.kind == "roots" else self.kind
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """I.i.d. entries of modulus exactly 1, complex dtype."""
+        """I.i.d. entries of modulus exactly 1: float64 for Rademacher,
+        complex128 otherwise."""
         if self.kind == "phase":
             return np.exp(2j * np.pi * rng.random(shape))
         if self.kind == "rademacher":
-            return (rng.integers(0, 2, shape) * 2.0 - 1.0).astype(np.complex128)
+            return rng.integers(0, 2, shape) * 2.0 - 1.0
         return np.exp(2j * np.pi * rng.integers(0, self.q, shape) / self.q)
 
     def mixed_moment_rule(self) -> MixedMomentRule:
@@ -102,14 +109,14 @@ def sample_base_vectors(
 
 
 def gram_matrix(vecs: np.ndarray) -> np.ndarray:
-    """m x m Gram matrix of the tensor-product vectors.
+    """m x m Gram matrix of the tensor-product vectors, in the dtype of vecs.
 
     Inner products factor leg by leg, so the cost is O(m^2 k n) and the
     n^k-dimensional vectors are never formed. The diagonal is 1 up to
     rounding and G is conjugate-symmetric by construction.
     """
     m, k, _ = vecs.shape
-    G = np.ones((m, m), dtype=np.complex128)
+    G = np.ones((m, m), dtype=vecs.dtype)
     for l in range(k):
         V = vecs[:, l, :]
         G *= V @ V.conj().T
@@ -186,15 +193,13 @@ def esd(
     seed: int | None = None,
     dims: tuple[int, int, int] | None = None,
 ) -> SpectrumSample:
-    """Empirical spectral distribution of one realization.
+    """Empirical spectral distribution of one realization from its Gram matrix.
 
     For tau >= 0 the nonzero spectrum comes from the Hermitian m x m
     matrix D^(1/2) G D^(1/2); mixed signs fall back to the general
-    eigenproblem on D G with an imaginary-part check. The trace moments
-    (1/n^k) Tr M^p for p = 1..P are power sums of that spectrum, taken
-    before the fold. Eigenvalues within zero_tol * max|eigenvalue| fold
-    into the zero atom, whose multiplicity is the exact integer
-    nk_scale - (number of nonzero eigenvalues).
+    eigenproblem on D G with an imaginary-part check. The trace identity
+    checks the eigenvalue sum against sum_a tau_a G[a, a]; the fold and
+    the moments are those of ``_spectrum_sample``.
     """
     tau = np.asarray(tau, dtype=float)
     m = G.shape[0]
@@ -209,11 +214,66 @@ def esd(
         if float(np.max(np.abs(w.imag))) > _IMAG_TOL * scale:
             raise NumericalError("general eigenproblem returned complex eigenvalues")
         lam = np.sort(w.real)
+    t_gram = float((tau * np.diag(G).real).sum())
+    return _spectrum_sample(lam, t_gram, nk_scale, P, zero_tol, seed, dims)
+
+
+def tensor_vectors(vecs: np.ndarray) -> np.ndarray:
+    """n^k x m matrix whose column a is Y_a = v_(a,1) ⊗ ... ⊗ v_(a,k).
+
+    One broadcast outer product per leg, over all m vectors at once, in
+    the dtype of vecs.
+    """
+    m, k, _ = vecs.shape
+    rows = vecs[:, 0, :]
+    for l in range(1, k):
+        rows = (rows[:, :, None] * vecs[:, l, None, :]).reshape(m, -1)
+    return rows.T
+
+
+def tensor_esd(
+    vecs: np.ndarray,
+    tau,
+    *,
+    P: int = 0,
+    zero_tol: float = 1e-10,
+    seed: int | None = None,
+    dims: tuple[int, int, int] | None = None,
+) -> SpectrumSample:
+    """Empirical spectral distribution of one realization from its
+    n^k x n^k model matrix M = Y D_tau Y^*, the smaller side when m > n^k.
+
+    M is Hermitian for every real tau, so signed weights need no general
+    eigenproblem, and no Gram matrix is built. The trace identity checks
+    the eigenvalue sum against sum_a tau_a prod_l |v_(a,l)|^2, the Gram
+    diagonal computed without G; the fold and the moments are those of
+    ``_spectrum_sample``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    m = vecs.shape[0]
+    if tau.shape != (m,):
+        raise ValueError(f"tau length {tau.shape} does not match m={m}")
+    Y = tensor_vectors(vecs)
+    W = Y * tau
+    np.conjugate(W, out=W)  # in place, so only two n^k x m arrays are held
+    # W Y^T = conj(M), which is Hermitian with the eigenvalues of M
+    lam = hermitian_eigenvalues(W @ Y.T)
+    norms = np.prod(np.sum(np.abs(vecs) ** 2, axis=2), axis=1)
+    return _spectrum_sample(lam, float((tau * norms).sum()), Y.shape[0], P, zero_tol, seed, dims)
+
+
+def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, zero_tol, seed, dims) -> SpectrumSample:
+    """The sample of one realization from its eigenvalues lam on either side.
+
+    The eigenvalue sum must match the weighted Gram trace t_gram. The
+    trace moments (1/n^k) Tr M^p for p = 1..P are power sums of lam,
+    taken before the fold. Eigenvalues within zero_tol * max|eigenvalue|
+    fold into the zero atom, whose multiplicity is the exact integer
+    nk_scale - (number of nonzero eigenvalues).
+    """
     peak = float(np.max(np.abs(lam))) if lam.size else 0.0
     nonzero = lam[np.abs(lam) > zero_tol * peak] if peak > 0 else lam[:0]
-    # trace identity: eigenvalue sum must match sum tau_a * G[a, a]
     t_eig = float(lam.sum())
-    t_gram = float((tau * np.diag(G).real).sum())
     if abs(t_eig - t_gram) > 1e-8 * max(1.0, abs(t_gram)):
         raise NumericalError(
             f"trace mismatch: eigenvalue sum {t_eig!r} vs Gram trace {t_gram!r}"
@@ -258,9 +318,25 @@ class SimulationReport:
         return {"moments": per_p, "ks": ks}
 
 
-def estimate_gram_bytes(m: int) -> int:
-    """Peak complex working-set estimate for one trial at size m."""
-    return 16 * m * m * 4  # G, weighted copy, Hermiticity residual, solver workspace
+def estimate_gram_bytes(m: int, nk: int) -> int:
+    """Peak complex working-set estimate for one trial, in bytes.
+
+    Four s x s matrices on the solved side s = min(m, n^k): the matrix,
+    its weighted copy, the Hermiticity residual and solver workspace.
+    When m > n^k, add the n^k x m tensor matrix and its weighted copy.
+    """
+    s = min(m, nk)
+    return 16 * (4 * s * s + (2 * m * nk if m > nk else 0))
+
+
+def constant_weight(tau_coeffs) -> float | None:
+    """v when every weight equals one v > 0, else None.
+
+    Only then is the run's limit a rescaled tau = 1 law: the spectrum is
+    v times a tau = 1 spectrum.
+    """
+    levels = np.unique(np.asarray(tau_coeffs, dtype=float))
+    return float(levels[0]) if levels.size == 1 and levels[0] > 0 else None
 
 
 def run_trials(
@@ -281,7 +357,9 @@ def run_trials(
 
     Trial t draws from the (seed, t) stream, so the set of results is a
     pure function of the configuration regardless of thread count; the
-    reduction walks trials in index order.
+    reduction walks trials in index order. Each trial is solved on its
+    smaller side: ``tensor_esd`` when m > n^k, else ``esd`` on the Gram
+    matrix.
 
     KS is measured against the tau = 1 law at ratio c. When every tau
     equals one v > 0 the spectrum is v times a tau = 1 spectrum, so KS is
@@ -292,13 +370,15 @@ def run_trials(
     nk = n ** k
     tau_coeffs = np.asarray(tau_coeffs, dtype=float)
     c_ref = c if c is not None else m / nk
-    levels = np.unique(tau_coeffs)
-    ks_scale = float(levels[0]) if levels.size == 1 and levels[0] > 0 else 1.0
+    ks_scale = constant_weight(tau_coeffs) or 1.0
+    opts = dict(P=P, zero_tol=zero_tol, seed=seed, dims=(n, k, m))
 
     def one(t: int) -> TrialOutcome:
         vecs = sample_base_vectors(n, k, m, dist, seed, trial=t)
-        G = gram_matrix(vecs)
-        sample = esd(G, tau_coeffs, nk, P=P, zero_tol=zero_tol, seed=seed, dims=(n, k, m))
+        if m > nk:
+            sample = tensor_esd(vecs, tau_coeffs, **opts)
+        else:
+            sample = esd(gram_matrix(vecs), tau_coeffs, nk, **opts)
         scaled = replace(sample, nonzero_eigenvalues=sample.nonzero_eigenvalues / ks_scale)
         return TrialOutcome(t, sample, mplaw.ks_distance(scaled, c_ref))
 
@@ -321,9 +401,9 @@ def histogram_rows(samples, bins: int = 60) -> list[tuple[float, float, float]]:
     """Pooled ESD histogram rows (bin_left, bin_right, mass).
 
     The first row is the zero atom with bin_left = bin_right = 0; its
-    mass is exact, computed from integer multiplicities without ever
-    materializing the n^k-dimensional spectrum. Continuous rows cover the
-    pooled nonzero eigenvalues; all masses sum to 1.
+    mass is exact, computed from the integer zero multiplicities.
+    Continuous rows cover the pooled nonzero eigenvalues; all masses sum
+    to 1.
     """
     samples = list(samples)
     total = sum(s.total_dimension for s in samples)

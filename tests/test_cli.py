@@ -156,6 +156,26 @@ def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
     assert rc == 0
 
 
+def test_memory_guard_sizes_the_solved_side(capsys):
+    # m = 108 > n^k = 27: 27 x 27 matrices plus two 27 x 108 ones, 0.14 MB
+    rc, _, err = run(capsys, *"simulate --n 3 --k 3 --c 4 --trials 1 --mem-limit 2e5".split())
+    assert rc == 0 and "exceeds limit" not in err
+
+
+KS_WARNING = "warning: KS is measured against the tau = 1 law, which is not this run's limit"
+
+
+@pytest.mark.parametrize("values, warns", [(None, False), ((1.0, -0.5) * 2, True)])
+def test_ks_warning_for_tau_outside_the_law(tmp_path, capsys, values, warns):
+    if values is None:
+        spec = "const:2"
+    else:
+        (tmp_path / "tau.txt").write_text("".join(f"{v}\n" for v in values))
+        spec = f"file:{tmp_path / 'tau.txt'}"
+    rc, _, err = run(capsys, *"simulate --n 2 --k 2 --m 4 --trials 1".split(), "--tau", spec)
+    assert rc == 0 and (KS_WARNING in err) == warns
+
+
 def test_simulate_bad_tau_spec(capsys):
     rc, _, err = run(capsys, *"simulate --n 3 --k 1 --m 2 --tau bogus:1".split())
     assert rc == 2 and "usage error" in err
@@ -240,6 +260,20 @@ def test_simulate_dense_check_columns(tmp_path, capsys):
         assert float(line.split(",")[4]) < 1e-10
     report = json.loads(next(tmp_path.glob("*report.json")).read_text())
     assert report["dense_check"]["max_eigenvalue_deviation"] < 1e-10
+
+
+def test_simulate_dense_check_signed_rademacher_above_one(tmp_path, capsys):
+    # c = 2: m = 128 > n^k = 64, so each trial is solved on the n^k side
+    (tmp_path / "tau.txt").write_text("".join(f"{(1.0, -0.5)[j % 2]}\n" for j in range(128)))
+    argv = "simulate --n 4 --k 3 --c 2 --dist rademacher --trials 2 --seed 5 --dense-check"
+    rc, _, _ = run(capsys, *argv.split(), "--tau", f"file:{tmp_path / 'tau.txt'}",
+                   "--out", str(tmp_path / "out"))
+    assert rc == 0
+    report = json.loads(next((tmp_path / "out").glob("*report.json")).read_text())
+    assert report["dense_check"]["max_eigenvalue_deviation"] <= 1e-10
+    mom = next((tmp_path / "out").glob("*trial_moments.csv")).read_text().strip().split("\n")
+    for line in mom[2:]:
+        assert float(line.split(",")[4]) < 1e-10
 
 
 def test_simulate_dense_check_size_cap(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import tensormp as t
 from tensormp import EntryDistribution, NumericalError
 from tensormp.claims import dense_check
+from tensormp import simulation
 from tensormp.simulation import estimate_gram_bytes, histogram_rows, trial_rng
 
 
@@ -43,6 +45,13 @@ def test_base_vector_scaling():
     vecs = t.sample_base_vectors(5, 3, 7, t.PHASE, seed=9)
     assert vecs.shape == (7, 3, 5)
     assert np.allclose(np.abs(vecs), 1 / np.sqrt(5), atol=1e-14)
+
+
+def test_rademacher_vectors_are_real():
+    vecs = t.sample_base_vectors(5, 3, 7, t.RADEMACHER, seed=9)
+    assert vecs.dtype == np.float64
+    assert np.all(np.abs(vecs) == 1 / math.sqrt(5))
+    assert t.gram_matrix(vecs).dtype == np.float64
 
 
 def test_gram_matches_dense_spectrum():
@@ -165,7 +174,9 @@ def test_histogram_rows_mass_and_atom():
 
 
 def test_estimate_gram_bytes():
-    assert estimate_gram_bytes(2048) == 16 * 2048 * 2048 * 4
+    assert estimate_gram_bytes(2048, 4096) == 16 * 2048 * 2048 * 4
+    # m > n^k: the n^k side, plus the n^k x m tensor matrix and its weighted copy
+    assert estimate_gram_bytes(8192, 4096) == 16 * (4 * 4096 * 4096 + 2 * 8192 * 4096)
 
 
 def test_phase_rotation_invariance_of_gram_moments():
@@ -216,3 +227,45 @@ def test_ks_for_constant_tau_is_scale_free():
         assert r2.moment_means[p - 1] == pytest.approx(
             2.0**p * r1.moment_means[p - 1], rel=1e-12
         )
+
+
+def _signed(m):
+    return np.where(np.arange(m) % 2 == 0, 1.0, -0.5)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("c", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("spec", ["phase", "rademacher", "roots:3"])
+def test_tensor_side_matches_gram_side(spec, c, signed):
+    n, k = 4, 3
+    nk = n**k
+    m = round(c * nk)
+    tau = _signed(m) if signed else np.ones(m)
+    vecs = t.sample_base_vectors(n, k, m, EntryDistribution.parse(spec), seed=2)
+    got = simulation.tensor_esd(vecs, tau, P=6)
+    want = t.esd(t.gram_matrix(vecs), tau, nk, P=6)
+    assert got.zero_multiplicity == want.zero_multiplicity
+    scale = max(1.0, float(np.max(np.abs(want.nonzero_eigenvalues))))
+    assert np.max(np.abs(got.nonzero_eigenvalues - want.nonzero_eigenvalues)) <= 1e-12 * scale
+    assert got.trace_moments == pytest.approx(want.trace_moments, rel=1e-12, abs=0)
+
+
+def test_tensor_side_on_rank_deficient_signed_sample():
+    # at n = 3 Rademacher tensor vectors repeat, so Y (27 x 54) has rank 26
+    vecs = t.sample_base_vectors(3, 3, 54, t.RADEMACHER, seed=1)
+    assert np.linalg.matrix_rank(simulation.tensor_vectors(vecs)) == 26
+    tau = _signed(54)
+    s = simulation.tensor_esd(vecs, tau, P=4)
+    deviation, dense = dense_check(s, vecs, tau, P=4)
+    assert deviation < 1e-10
+    assert s.trace_moments == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m, side", [(27, "gram"), (28, "tensor")])
+def test_run_trials_solves_the_smaller_side(monkeypatch, m, side):
+    def refuse(*args, **kwargs):
+        pytest.fail("the larger side was solved")
+
+    monkeypatch.setattr(simulation, "gram_matrix" if side == "tensor" else "tensor_esd", refuse)
+    r = t.run_trials(3, 3, m, t.PHASE, (1.0,) * m, 2, 1, 4)
+    assert r.outcomes[0].sample.total_dimension == 27
