@@ -62,7 +62,6 @@ DOMAINS = {
     "c": ("finite and > 0", lambda v: 0 < v < math.inf),
     "mem_limit": ("> 0", lambda v: v > 0),
     "grid_points": (">= 2", lambda v: v >= 2),
-    "zero_tol": ("in [0, 1)", lambda v: 0 <= v < 1),
     **dict.fromkeys(("x_min", "x_max"), ("finite", math.isfinite)),
 }
 
@@ -279,7 +278,6 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "bins": args.bins,
         "dense_check": bool(args.dense_check),
-        "zero_tol": args.zero_tol,
     }
     write = _outputs(
         args, config, "simulate", "_histogram.csv", "_trial_moments.csv", "_report.json"
@@ -288,7 +286,7 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     report = simulation.run_trials(
         args.n, args.k, m, dist, coeffs, args.p_max, args.trials, args.seed,
-        c=c_ref, threads=args.threads, zero_tol=args.zero_tol,
+        c=c_ref, threads=args.threads,
     )
     elapsed = time.perf_counter() - t0
 
@@ -397,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads (default: cpu count; for a fixed BLAS thread setting results do not depend on it)",
     )
     sp.add_argument("--bins", type=int, default=60, help="histogram bins (default 60)")
-    sp.add_argument(
-        "--zero-tol",
-        type=float,
-        default=1e-10,
-        help="relative threshold folding eigenvalues into the zero atom (default 1e-10)",
-    )
     sp.add_argument("--dense-check", action="store_true", help="compare against the n^k-dimensional path (n^k <= 64)")
     sp.add_argument("--mem-limit", type=float, default=4e9, help="refuse runs whose estimate exceeds this many bytes")
     common(sp)

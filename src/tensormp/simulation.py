@@ -6,14 +6,15 @@ product of independent length-n vectors with i.i.d. unit-modulus entries
 scaled by n^(-1/2). Each trial is solved on the smaller of its two
 sides, so no matrix larger than min(m, n^k) squared is eigensolved:
 - m <= n^k: inner products factor across tensor legs, so the trial runs
-  on the m x m Gram matrix G, and the nonzero eigenvalues of the model
-  equal those of D_tau^(1/2) G D_tau^(1/2);
+  on the m x m Gram matrix G. D_tau G is similar to sign(tau) H with the
+  Hermitian H = |D_tau|^(1/2) G |D_tau|^(1/2); for mixed signs its
+  nonzero eigenvalues are those of F^* sign(tau) F, where H = F F^*;
 - m > n^k: the n^k x m matrix Y of tensor vectors is built and the
-  n^k x n^k model matrix M = Y D_tau Y^* itself is eigensolved; it is
-  Hermitian for every real tau.
-The zero eigenvalue keeps multiplicity n^k - (number of nonzero
-eigenvalues) as an exact integer. Rademacher entries are real, so their
-trials run in real arithmetic on either side.
+  n^k x n^k model matrix M = Y D_tau Y^* itself is eigensolved.
+Every eigensolve is Hermitian, for every real tau. The zero eigenvalue
+keeps multiplicity n^k - (number of nonzero eigenvalues) as an exact
+integer. Rademacher entries are real, so their trials run in real
+arithmetic on either side.
 
 Reproducibility: random streams come from numpy's counter-based Philox
 generator keyed by SeedSequence((seed, trial)), so any trial can be
@@ -39,6 +40,7 @@ from .moments import (
 )
 
 _IMAG_TOL = 1e-8
+ZERO_TOL = 1e-10  # relative to the largest |eigenvalue|; exact zeros land near 1e-15
 
 
 @dataclass(frozen=True)
@@ -162,10 +164,14 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     solver then guarantees residuals at the epsilon * norm level for each eigenpair.
     """
     H = np.asarray(H)
+    _require_hermitian(H)
+    return np.linalg.eigvalsh(H)
+
+
+def _require_hermitian(H: np.ndarray) -> None:
     scale = max(1.0, float(np.linalg.norm(H)))
     if float(np.linalg.norm(H - H.conj().T)) > 1e-9 * scale:
         raise NumericalError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(H)
 
 
 @dataclass
@@ -189,33 +195,35 @@ def esd(
     nk_scale: int,
     *,
     P: int = 0,
-    zero_tol: float = 1e-10,
     seed: int | None = None,
     dims: tuple[int, int, int] | None = None,
 ) -> SpectrumSample:
     """Empirical spectral distribution of one realization from its Gram matrix.
 
-    For tau >= 0 the nonzero spectrum comes from the Hermitian m x m
-    matrix D^(1/2) G D^(1/2); mixed signs fall back to the general
-    eigenproblem on D G with an imaginary-part check. The trace identity
-    checks the eigenvalue sum against sum_a tau_a G[a, a]; the fold and
-    the moments are those of ``_spectrum_sample``.
+    D G is similar to sign(tau) H with H = |D|^(1/2) G |D|^(1/2) Hermitian.
+    For tau >= 0 H is eigensolved; for mixed signs H = F F^*, F keeping
+    the eigenvectors of H's numerical rank r (eigenvalues above m eps max),
+    and the r x r Hermitian F^* sign(tau) F is. The trace identity checks
+    the eigenvalue sum against sum_a tau_a G[a, a]; the fold and the
+    moments are those of ``_spectrum_sample``.
     """
     tau = np.asarray(tau, dtype=float)
     m = G.shape[0]
     if tau.shape != (m,):
         raise ValueError(f"tau length {tau.shape} does not match m={m}")
+    root = np.sqrt(np.abs(tau))
+    H = root[:, None] * G * root[None, :]
     if np.all(tau >= 0):
-        root = np.sqrt(tau)
-        lam = hermitian_eigenvalues(root[:, None] * G * root[None, :])
+        lam = hermitian_eigenvalues(H)
     else:
-        w = np.linalg.eigvals(tau[:, None] * G)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if float(np.max(np.abs(w.imag))) > _IMAG_TOL * scale:
-            raise NumericalError("general eigenproblem returned complex eigenvalues")
-        lam = np.sort(w.real)
+        _require_hermitian(H)
+        w, F = np.linalg.eigh(H)  # ascending, so the kept columns trail
+        r = np.count_nonzero(w > m * np.finfo(float).eps * w[-1])
+        F = F[:, m - r:]
+        F *= np.sqrt(w[m - r:])
+        lam = hermitian_eigenvalues(F.conj().T @ (np.sign(tau)[:, None] * F))
     t_gram = float((tau * np.diag(G).real).sum())
-    return _spectrum_sample(lam, t_gram, nk_scale, P, zero_tol, seed, dims)
+    return _spectrum_sample(lam, t_gram, nk_scale, P, seed, dims)
 
 
 def tensor_vectors(vecs: np.ndarray) -> np.ndarray:
@@ -236,7 +244,6 @@ def tensor_esd(
     tau,
     *,
     P: int = 0,
-    zero_tol: float = 1e-10,
     seed: int | None = None,
     dims: tuple[int, int, int] | None = None,
 ) -> SpectrumSample:
@@ -259,20 +266,20 @@ def tensor_esd(
     # W Y^T = conj(M), which is Hermitian with the eigenvalues of M
     lam = hermitian_eigenvalues(W @ Y.T)
     norms = np.prod(np.sum(np.abs(vecs) ** 2, axis=2), axis=1)
-    return _spectrum_sample(lam, float((tau * norms).sum()), Y.shape[0], P, zero_tol, seed, dims)
+    return _spectrum_sample(lam, float((tau * norms).sum()), Y.shape[0], P, seed, dims)
 
 
-def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, zero_tol, seed, dims) -> SpectrumSample:
+def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, seed, dims) -> SpectrumSample:
     """The sample of one realization from its eigenvalues lam on either side.
 
     The eigenvalue sum must match the weighted Gram trace t_gram. The
     trace moments (1/n^k) Tr M^p for p = 1..P are power sums of lam,
-    taken before the fold. Eigenvalues within zero_tol * max|eigenvalue|
+    taken before the fold. Eigenvalues within ZERO_TOL * max|eigenvalue|
     fold into the zero atom, whose multiplicity is the exact integer
     nk_scale - (number of nonzero eigenvalues).
     """
     peak = float(np.max(np.abs(lam))) if lam.size else 0.0
-    nonzero = lam[np.abs(lam) > zero_tol * peak] if peak > 0 else lam[:0]
+    nonzero = lam[np.abs(lam) > ZERO_TOL * peak] if peak > 0 else lam[:0]
     t_eig = float(lam.sum())
     if abs(t_eig - t_gram) > 1e-8 * max(1.0, abs(t_gram)):
         raise NumericalError(
@@ -321,12 +328,13 @@ class SimulationReport:
 def estimate_gram_bytes(m: int, nk: int) -> int:
     """Peak complex working-set estimate for one trial, in bytes.
 
-    Four s x s matrices on the solved side s = min(m, n^k): the matrix,
-    its weighted copy, the Hermiticity residual and solver workspace.
+    Six s x s matrices on the solved side s = min(m, n^k), what a signed
+    Gram-side trial holds in eigh: G, the weighted H, the solver's copy
+    of H, the eigenvector factor F and two of workspace.
     When m > n^k, add the n^k x m tensor matrix and its weighted copy.
     """
     s = min(m, nk)
-    return 16 * (4 * s * s + (2 * m * nk if m > nk else 0))
+    return 16 * (6 * s * s + (2 * m * nk if m > nk else 0))
 
 
 def constant_weight(tau_coeffs) -> float | None:
@@ -351,7 +359,6 @@ def run_trials(
     *,
     c: float | None = None,
     threads: int = 1,
-    zero_tol: float = 1e-10,
 ) -> SimulationReport:
     """Independent trials of the full pipeline, deterministically seeded.
 
@@ -371,7 +378,7 @@ def run_trials(
     tau_coeffs = np.asarray(tau_coeffs, dtype=float)
     c_ref = c if c is not None else m / nk
     ks_scale = constant_weight(tau_coeffs) or 1.0
-    opts = dict(P=P, zero_tol=zero_tol, seed=seed, dims=(n, k, m))
+    opts = dict(P=P, seed=seed, dims=(n, k, m))
 
     def one(t: int) -> TrialOutcome:
         vecs = sample_base_vectors(n, k, m, dist, seed, trial=t)

@@ -32,6 +32,8 @@ def test_replay_matches_run_trials(workloads):
         Sim("phase-c0.5", 3, 3, 0.5, "phase", "const:1", (1.0,) * 14, 2, 1),
         Sim("rademacher-c2", 3, 3, 2.0, "rademacher", "const:1", (1.0,) * 54, 2, 2),
         Sim("rademacher-c2-signed", 3, 3, 2.0, "rademacher", "file:signed", signed, 2, 3),
+        # Y has rank 26: the replay's Gram-side esd must count the zero atom exactly
+        Sim("rademacher-c2-signed-rank26", 3, 3, 2.0, "rademacher", "file:signed", signed, 2, 1),
         Sim("roots3-c1.5", 3, 3, 1.5, "roots:3", "const:1", (1.0,) * 40, 2, 4),
     ]
     assert all(len(s.tau) == s.m for s in sims)

@@ -146,7 +146,7 @@ def test_simulate_memory_guard(capsys):
 
 
 def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
-    # one trial at m = 100 is estimated at 0.64 MB, two at once at 1.28 MB
+    # one trial at m = 100 is estimated at 0.96 MB, two at once at 1.92 MB
     argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 1e6".split()
     monkeypatch.setattr(simulation, "run_trials", no_trial)
     rc, _, err = run(capsys, *argv, "--threads", "2")
@@ -157,7 +157,7 @@ def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
 
 
 def test_memory_guard_sizes_the_solved_side(capsys):
-    # m = 108 > n^k = 27: 27 x 27 matrices plus two 27 x 108 ones, 0.14 MB
+    # m = 108 > n^k = 27: 27 x 27 matrices plus two 27 x 108 ones, 0.16 MB
     rc, _, err = run(capsys, *"simulate --n 3 --k 3 --c 4 --trials 1 --mem-limit 2e5".split())
     assert rc == 0 and "exceeds limit" not in err
 
@@ -274,6 +274,22 @@ def test_simulate_dense_check_signed_rademacher_above_one(tmp_path, capsys):
     mom = next((tmp_path / "out").glob("*trial_moments.csv")).read_text().strip().split("\n")
     for line in mom[2:]:
         assert float(line.split(",")[4]) < 1e-10
+
+
+@pytest.mark.parametrize("n, k, m, seed, atom", [(2, 4, 12, 12, 9 / 16), (3, 3, 27, 3, 8 / 27)])
+def test_simulate_dense_check_signed_rank_deficient_gram_side(tmp_path, capsys, n, k, m, seed, atom):
+    # m <= n^k with linearly dependent Rademacher tensor vectors: the zero
+    # eigenvalue of D_tau G is defective, and the atom must still be exact
+    (tmp_path / "tau.txt").write_text("".join(f"{(1.0, -0.5)[j % 2]}\n" for j in range(m)))
+    argv = f"simulate --n {n} --k {k} --m {m} --dist rademacher --trials 1 --seed {seed} --dense-check"
+    rc, _, _ = run(capsys, *argv.split(), "--tau", f"file:{tmp_path / 'tau.txt'}",
+                   "--out", str(tmp_path / "out"))
+    assert rc == 0
+    report = json.loads(next((tmp_path / "out").glob("*report.json")).read_text())
+    assert report["dense_check"]["max_eigenvalue_deviation"] <= 1e-10
+    hist = next((tmp_path / "out").glob("*histogram.csv")).read_text().split("\n")
+    assert hist[2].split(",")[:2] == ["0.0", "0.0"]
+    assert float(hist[2].split(",")[2]) == pytest.approx(atom, rel=1e-15)
 
 
 def test_simulate_dense_check_size_cap(capsys):

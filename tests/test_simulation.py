@@ -174,9 +174,9 @@ def test_histogram_rows_mass_and_atom():
 
 
 def test_estimate_gram_bytes():
-    assert estimate_gram_bytes(2048, 4096) == 16 * 2048 * 2048 * 4
+    assert estimate_gram_bytes(2048, 4096) == 16 * 2048 * 2048 * 6
     # m > n^k: the n^k side, plus the n^k x m tensor matrix and its weighted copy
-    assert estimate_gram_bytes(8192, 4096) == 16 * (4 * 4096 * 4096 + 2 * 8192 * 4096)
+    assert estimate_gram_bytes(8192, 4096) == 16 * (6 * 4096 * 4096 + 2 * 8192 * 4096)
 
 
 def test_phase_rotation_invariance_of_gram_moments():
@@ -254,11 +254,26 @@ def test_tensor_side_on_rank_deficient_signed_sample():
     # at n = 3 Rademacher tensor vectors repeat, so Y (27 x 54) has rank 26
     vecs = t.sample_base_vectors(3, 3, 54, t.RADEMACHER, seed=1)
     assert np.linalg.matrix_rank(simulation.tensor_vectors(vecs)) == 26
-    tau = _signed(54)
-    s = simulation.tensor_esd(vecs, tau, P=4)
-    deviation, dense = dense_check(s, vecs, tau, P=4)
-    assert deviation < 1e-10
-    assert s.trace_moments == pytest.approx(dense, rel=1e-12, abs=0)
+    # linearly dependent tensor vectors make the zero eigenvalue of D G
+    # defective; both sides must still count the zero atom exactly
+    for n, k, m, seed in ((2, 4, 12, 12), (2, 4, 16, 5), (2, 4, 64, 1), (3, 3, 27, 3), (3, 3, 54, 1)):
+        vecs = t.sample_base_vectors(n, k, m, t.RADEMACHER, seed=seed)
+        tau = _signed(m)
+        gram = t.esd(t.gram_matrix(vecs), tau, n**k, P=4)
+        for s in (gram, simulation.tensor_esd(vecs, tau, P=4)):
+            deviation, dense = dense_check(s, vecs, tau, P=4)
+            assert deviation < 1e-10
+            assert s.trace_moments == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m", [20, 27, 40])
+def test_signed_trials_never_take_the_general_eigenproblem(monkeypatch, m):
+    def refuse(*args, **kwargs):
+        pytest.fail("the non-symmetric eigensolver ran")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    r = t.run_trials(3, 3, m, t.RADEMACHER, _signed(m), 2, 2, 3)
+    assert all(o.sample.total_dimension == 27 for o in r.outcomes)
 
 
 @pytest.mark.parametrize("m, side", [(27, "gram"), (28, "tensor")])
