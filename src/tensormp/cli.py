@@ -248,16 +248,16 @@ def cmd_simulate(args) -> int:
         m = args.m
         _warn_ratio(args.c, args.n, args.k, m)
     c_ref = args.c if args.c is not None else m / nk
+    tau, tau_label = _parse_tau(args.tau, m)
+    if tau.coefficients is None:
+        raise UsageError("simulation needs explicit tau coefficients, not moments")
     concurrent = min(args.threads, args.trials)
-    need = simulation.estimate_gram_bytes(m, nk) * concurrent
+    need = simulation.estimate_gram_bytes(m, nk, min(tau.coefficients) < 0) * concurrent
     if need > args.mem_limit:
         raise UsageError(
             f"estimated working set {need / 1e9:.2f} GB ({concurrent} concurrent trials at "
             f"m={m}) exceeds limit {args.mem_limit / 1e9:.2f} GB; raise --mem-limit or lower --threads"
         )
-    tau, tau_label = _parse_tau(args.tau, m)
-    if tau.coefficients is None:
-        raise UsageError("simulation needs explicit tau coefficients, not moments")
     coeffs = tau.coefficients * (m // len(tau.coefficients))  # m weights, const: expanded
     if simulation.constant_weight(coeffs) is None:
         print("warning: KS is measured against the tau = 1 law, which is not this run's limit",

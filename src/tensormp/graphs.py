@@ -7,7 +7,8 @@ with the wrap-around alpha_{p+1} = alpha_1. The alpha-labels and the
 i-labels live in disjoint vertex namespaces, so the graph is bipartite.
 Edge multiplicities between a vertex pair determine whether an expected
 trace contribution survives, which is what the classification below
-captures.
+captures. A non-crossing alpha has exactly one tree partner, the
+Kreweras complement of its partition (Nica & Speicher 2006, Lecture 9).
 """
 
 from __future__ import annotations
@@ -80,46 +81,19 @@ def classify(g: WalkGraph) -> GraphClass:
     return GraphClass.OTHER
 
 
-def _glued_is_tree(keys: list[EdgeKey], r: int, s: int) -> bool:
-    # keys are the glued undirected edges; a connected graph on r+s
-    # vertices with r+s-1 edges is a tree
-    if len(keys) != r + s - 1:
-        return False
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for a, v in keys:
-        adj.setdefault(("a", a), []).append(("i", v))
-        adj.setdefault(("i", v), []).append(("a", a))
-    if len(adj) != r + s:
-        return False
-    seen = set()
-    stack = [next(iter(adj))]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(adj[node])
-    return len(seen) == r + s
-
-
 def is_delta1(i_seq: Iterable[int], alpha: Iterable[int]) -> bool:
     """True iff the walk graph glues to a tree with every edge doubled once.
 
     Each (alpha-value, i-value) pair must carry exactly one down and one
-    up edge, and the glued undirected graph must be a tree, which forces
-    p+1 total vertices: r distinct i-values plus s distinct alpha-values
-    with r + s = p + 1.
+    up edge. The glued undirected graph then has exactly p distinct
+    edges, and it is connected because the walk is closed, so it is a
+    tree exactly when its r distinct i-values and s distinct alpha-values
+    number r + s = p + 1.
     """
     g = build_graph(i_seq, alpha)
-    keys = g.edge_keys()
-    for kv in keys:
-        if g.down.get(kv, 0) != 1 or g.up.get(kv, 0) != 1:
-            return False
-    r = len(set(g.i_seq))
-    s = len(set(g.alpha))
-    if r + s != g.p + 1:
+    if any(g.down.get(kv, 0) != 1 or g.up.get(kv, 0) != 1 for kv in g.edge_keys()):
         return False
-    return _glued_is_tree(keys, r, s)
+    return len(set(g.i_seq)) + len(set(g.alpha)) == g.p + 1
 
 
 def delta1_partner(alpha: Iterable[int]) -> Canon | None:
@@ -127,45 +101,29 @@ def delta1_partner(alpha: Iterable[int]) -> Canon | None:
 
     For a non-crossing canonical alpha with s distinct values this returns
     the single canonical i with p+1-s distinct values and is_delta1(i,
-    alpha) true; for a crossing alpha it returns None. Built by the
-    recursive split-and-glue construction rather than by search.
+    alpha) true; for a crossing alpha it returns None. The partner is the
+    Kreweras complement of alpha's partition (Kreweras 1972): positions u
+    and prev(u + 1) share an i-value, where prev steps back to the
+    previous position of the same alpha-value, cyclically. The i-values
+    are the cycles of u -> prev(u + 1), numbered by smallest position.
     """
     alpha = canonicalize(alpha)
     if is_crossing(alpha):
         return None
-    return _partner(alpha)
-
-
-def _partner(alpha: Canon) -> Canon:
-    # alpha is canonical and non-crossing throughout the recursion
     p = len(alpha)
-    if p == 1:
-        return (1,)
-    repeats = [u for u in range(1, p) if alpha[u] == alpha[0]]
-    if repeats:
-        # split at a repeat of alpha_1; the two halves share only the
-        # alpha_1 vertex (a shared second value would be a crossing), so
-        # their partners glue with disjoint i-values
-        j = repeats[0] + 1  # 1-based split position
-        i1 = _partner(canonicalize(alpha[: j - 1]))
-        i2 = _partner(canonicalize(alpha[j - 1:]))
-        shift = max(i1)
-        return i1 + tuple(v + shift for v in i2)
-    occ2 = [u for u in range(2, p) if alpha[u] == alpha[1]]
-    if not occ2:
-        # alpha_1 and alpha_2 both unique: drop position 2 and hang its
-        # vertex off a fresh leading i-vertex shared with position 1
-        beta = canonicalize((alpha[0],) + alpha[2:])
-        return (1,) + _partner(beta)
-    # alpha_2 repeats: split between its first and LAST occurrence. Any
-    # earlier occurrence would leave alpha_2's value on both sides of the
-    # split and break the vertex count r + s = p + 1.
-    k = occ2[-1] + 1  # 1-based position of the last occurrence
-    i1 = _partner(canonicalize(alpha[1: k - 1]))
-    i2 = _partner(canonicalize((alpha[0],) + alpha[k:]))
-    shift = max(i1)
-    i2_shifted = tuple(v if v == 1 else v + shift for v in i2)
-    return (1,) + tuple(v + 1 for v in i1) + i2_shifted
+    last = {a: u for u, a in enumerate(alpha)}
+    prev = []
+    for u, a in enumerate(alpha):
+        prev.append(last[a])
+        last[a] = u
+    i_seq = [0] * p
+    for start in range(p):
+        if not i_seq[start]:
+            label, v = max(i_seq) + 1, start
+            while not i_seq[v]:
+                i_seq[v] = label
+                v = prev[(v + 1) % p]
+    return tuple(i_seq)
 
 
 def paired_partners(alpha: Iterable[int], r: int) -> list[Canon]:

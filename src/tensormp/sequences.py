@@ -85,25 +85,23 @@ def is_crossing(alpha: Iterable[int]) -> bool:
     """True iff two values alternate a..b..a..b along the sequence.
 
     Equivalent to the quadruple condition: positions j1<j2<j3<j4 exist
-    with alpha[j1] = alpha[j3] != alpha[j2] = alpha[j4]. Checked per value
-    pair by collapsing the sequence to that pair's subword and counting
-    value changes; three or more changes means four alternating runs.
+    with alpha[j1] = alpha[j3] != alpha[j2] = alpha[j4]. Checked in one
+    left-to-right scan with a stack of open values: a value is pushed at
+    its first position and popped at its last, and a value that recurs
+    while a value opened after it is still open, i.e. is not on top of
+    the stack, is a crossing.
     """
     alpha = tuple(alpha)
-    values = sorted(set(alpha))
-    for ai, a in enumerate(values):
-        for b in values[ai + 1:]:
-            changes = 0
-            last = 0
-            for v in alpha:
-                if v != a and v != b:
-                    continue
-                if v != last:
-                    if last != 0:
-                        changes += 1
-                    last = v
-            if changes >= 3:
-                return True
+    last = {v: u for u, v in enumerate(alpha)}
+    opened, stack = set(), []
+    for u, v in enumerate(alpha):
+        if v not in opened:
+            opened.add(v)
+            stack.append(v)
+        elif stack[-1] != v:
+            return True
+        if u == last[v]:
+            stack.pop()
     return False
 
 

@@ -325,16 +325,19 @@ class SimulationReport:
         return {"moments": per_p, "ks": ks}
 
 
-def estimate_gram_bytes(m: int, nk: int) -> int:
+def estimate_gram_bytes(m: int, nk: int, signed: bool) -> int:
     """Peak complex working-set estimate for one trial, in bytes.
 
-    Six s x s matrices on the solved side s = min(m, n^k), what a signed
-    Gram-side trial holds in eigh: G, the weighted H, the solver's copy
-    of H, the eigenvector factor F and two of workspace.
-    When m > n^k, add the n^k x m tensor matrix and its weighted copy.
+    On the Gram side (m <= n^k) it counts m x m matrices: five for
+    tau >= 0 and seven for signed tau, whose eigh also builds the
+    eigenvector factor F. A phase trial at m = 2048 with one BLAS thread
+    peaks at 4.15 (tau = 1) and 6.27 (alternating 1, -0.5) of them above
+    the interpreter. When m > n^k, six n^k x n^k matrices plus the
+    n^k x m tensor matrix and its weighted copy.
     """
-    s = min(m, nk)
-    return 16 * (6 * s * s + (2 * m * nk if m > nk else 0))
+    if m > nk:
+        return 16 * (6 * nk * nk + 2 * m * nk)
+    return 16 * (7 if signed else 5) * m * m
 
 
 def constant_weight(tau_coeffs) -> float | None:

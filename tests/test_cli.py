@@ -146,13 +146,25 @@ def test_simulate_memory_guard(capsys):
 
 
 def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
-    # one trial at m = 100 is estimated at 0.96 MB, two at once at 1.92 MB
+    # one tau = 1 trial at m = 100 is estimated at 0.8 MB, two at once at 1.6 MB
     argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 1e6".split()
     monkeypatch.setattr(simulation, "run_trials", no_trial)
     rc, _, err = run(capsys, *argv, "--threads", "2")
     assert rc == 2 and "exceeds limit" in err
     monkeypatch.undo()
     rc, _, _ = run(capsys, *argv, "--threads", "1")
+    assert rc == 0
+
+
+def test_memory_guard_reads_the_sign_of_tau(tmp_path, monkeypatch, capsys):
+    # one Gram-side trial at m = 100: 0.8 MB for tau = 1, 1.12 MB for signed tau
+    (tmp_path / "tau.txt").write_text("1\n-0.5\n" * 50)
+    argv = "simulate --n 10 --k 2 --m 100 --trials 1 --mem-limit 1e6".split()
+    monkeypatch.setattr(simulation, "run_trials", no_trial)
+    rc, _, err = run(capsys, *argv, "--tau", f"file:{tmp_path / 'tau.txt'}")
+    assert rc == 2 and "exceeds limit" in err
+    monkeypatch.undo()
+    rc, _, _ = run(capsys, *argv)
     assert rc == 0
 
 

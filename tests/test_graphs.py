@@ -5,7 +5,12 @@ canonical enumeration are claims in ``tensormp.claims``; the acceptance
 gate runs the partner, dichotomy and paired-partner claims.
 """
 
+import math
+from collections import Counter
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tensormp as t
 from tensormp import GraphClass
@@ -33,6 +38,42 @@ def test_is_delta1_examples():
     assert not t.is_delta1((1, 1), (1, 1))
 
 
+def _glued_tree_by_union_find(i_seq, alpha) -> bool:
+    # every (alpha-value, i-value) pair carries one down and one up edge,
+    # and the p glued edges join the alpha and i vertices without a cycle
+    # into one component
+    p = len(alpha)
+    down = Counter((alpha[u], i_seq[u]) for u in range(p))
+    up = Counter((alpha[(u + 1) % p], i_seq[u]) for u in range(p))
+    if down != up or set(down.values()) != {1}:
+        return False
+    root = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    for a, v in down:
+        ra, rv = find(("alpha", a)), find(("i", v))
+        if ra == rv:
+            return False
+        root[ra] = rv
+    return len(down) == p and len({find(x) for x in list(root)}) == 1
+
+
+walk_pairs = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=8
+).map(lambda pairs: tuple(zip(*pairs)))
+
+
+@given(walk_pairs)
+def test_is_delta1_matches_union_find_tree(pair):
+    # arbitrary pairs, outside the p+1-s-value candidates of the uniqueness claim
+    i_seq, alpha = pair
+    assert t.is_delta1(i_seq, alpha) == _glued_tree_by_union_find(i_seq, alpha)
+
+
 def test_partner_known_values():
     assert t.delta1_partner((1,)) == (1,)
     assert t.delta1_partner((1, 1)) == (1, 2)
@@ -50,6 +91,16 @@ def test_partner_accepts_non_canonical_input():
 def test_partner_graph_is_tree_with_balanced_degrees():
     # max(i) = p + 1 - s and the tree property belong to the uniqueness claim (c02)
     assert CLAIMS["tree partner diagnostics"].run(7) is None
+
+
+@pytest.mark.parametrize("p", [8, 9])
+def test_partner_beyond_brute_force_range(p):
+    # the uniqueness claim searches every candidate only up to p = 7
+    noncrossing = [a for a in t.enumerate_canonical(p) if not t.is_crossing(a)]
+    assert len(noncrossing) == math.comb(2 * p, p) // (p + 1)
+    for a in noncrossing:
+        i = t.delta1_partner(a)
+        assert t.is_canonical(i) and max(i) == p + 1 - max(a) and t.is_delta1(i, a), a
 
 
 def test_paired_partners_known_values():

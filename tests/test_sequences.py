@@ -10,7 +10,7 @@ from tensormp import (
     is_canonical,
     is_crossing,
 )
-from tensormp.claims import CLAIMS
+from tensormp.claims import CLAIMS, crossing_by_quartic_scan
 
 seqs = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=9).map(tuple)
 
@@ -86,6 +86,12 @@ def test_crossing_examples():
 
 def test_crossing_matches_quartic_scan():
     assert CLAIMS["crossing scan agreement"].run(8) is None
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=12).map(tuple))
+def test_crossing_matches_quartic_scan_beyond_enumeration(a):
+    # the claim enumerates canonical sequences only up to length 8
+    assert is_crossing(a) == crossing_by_quartic_scan(a)
 
 
 def test_degree():

@@ -174,9 +174,12 @@ def test_histogram_rows_mass_and_atom():
 
 
 def test_estimate_gram_bytes():
-    assert estimate_gram_bytes(2048, 4096) == 16 * 2048 * 2048 * 6
+    # the Gram side counts five m x m matrices for tau >= 0, seven for signed tau
+    assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 5
+    assert estimate_gram_bytes(2048, 4096, True) == 16 * 2048 * 2048 * 7
     # m > n^k: the n^k side, plus the n^k x m tensor matrix and its weighted copy
-    assert estimate_gram_bytes(8192, 4096) == 16 * (6 * 4096 * 4096 + 2 * 8192 * 4096)
+    for signed in (False, True):
+        assert estimate_gram_bytes(8192, 4096, signed) == 16 * (6 * 4096 * 4096 + 2 * 8192 * 4096)
 
 
 def test_phase_rotation_invariance_of_gram_moments():
