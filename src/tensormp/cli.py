@@ -14,9 +14,12 @@ file starts with it as a "# config=" line, and report.json echoes it as
 a "wrote <path>" line on stderr. Existing files are refused before any
 work unless --force is given.
 
-Every command is a pure function of its configuration: for a fixed BLAS
-thread setting, identical flags and seed produce byte-identical output
-files (wall-clock timing goes to stderr only).
+Every command is a pure function of its configuration: identical flags
+and seed produce byte-identical output files (wall-clock timing goes to
+stderr only), whatever --threads is. With the OpenBLAS that numpy ships,
+simulate runs every trial on one BLAS thread, so on a given numpy build
+the bytes do not depend on the BLAS thread count either; with another
+BLAS they hold for a fixed BLAS thread setting.
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure,
 4 verification failure.
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker threads (default: cpu count; for a fixed BLAS thread setting results do not depend on it)",
+        help="trial worker threads, one core each with numpy's OpenBLAS (default: cpu count; results do not depend on it)",
     )
     sp.add_argument("--bins", type=int, default=60, help="histogram bins (default 60)")
     sp.add_argument("--dense-check", action="store_true", help="compare against the n^k-dimensional path (n^k <= 64)")

@@ -16,15 +16,27 @@ keeps multiplicity n^k - (number of nonzero eigenvalues) as an exact
 integer. Rademacher entries are real, so their trials run in real
 arithmetic on either side.
 
+Eigenvalues come from LAPACK's two-stage tridiagonal reduction
+(?heevd_2stage) in the OpenBLAS that numpy ships, and ``run_trials``
+holds that OpenBLAS at one thread for its whole trial loop, so the
+trial pool supplies the parallelism. Without that library (MKL,
+Accelerate, an older wheel) both fall back to ``numpy.linalg.eigvalsh``
+at the process's BLAS thread count.
+
 Reproducibility: random streams come from numpy's counter-based Philox
 generator keyed by SeedSequence((seed, trial)), so any trial can be
 regenerated independently of the others and results do not depend on
-thread scheduling.
+thread scheduling. With the bundled OpenBLAS every trial runs on one
+BLAS thread, so its bytes do not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -157,18 +169,116 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
     return out
 
 
+_LAPACK_COL_MAJOR = 102
+
+_OpenBLAS = namedtuple("_OpenBLAS", "get_num_threads set_num_threads zheevd_2stage dsyevd_2stage")
+
+
+@functools.cache
+def _openblas() -> _OpenBLAS | None:
+    """The ILP64 thread-count and two-stage eigenvalue entry points of the
+    OpenBLAS that numpy ships, or None when any of them is missing.
+
+    The library is globbed from numpy's wheel directories (numpy.libs/ on
+    Linux, numpy/.dylibs/ on macOS), so it is the one numpy.linalg already
+    runs on. Resolved on first use: importing tensormp loads nothing.
+    """
+    import ctypes
+    import glob
+
+    pkg = os.path.dirname(np.__file__)
+    paths = sorted(
+        glob.glob(os.path.join(os.path.dirname(pkg), "numpy.libs", "libscipy_openblas*"))
+        + glob.glob(os.path.join(pkg, ".dylibs", "libscipy_openblas*"))
+    )
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+            found = _OpenBLAS(
+                lib.scipy_openblas_get_num_threads64_,
+                lib.scipy_openblas_set_num_threads64_,
+                lib.scipy_LAPACKE_zheevd_2stage64_,
+                lib.scipy_LAPACKE_dsyevd_2stage64_,
+            )
+        except (OSError, AttributeError):
+            continue
+        found.get_num_threads.argtypes, found.get_num_threads.restype = [], ctypes.c_int
+        found.set_num_threads.argtypes, found.set_num_threads.restype = [ctypes.c_int], None
+        for solve in (found.zheevd_2stage, found.dsyevd_2stage):
+            # (layout, jobz, uplo, n, a, lda, w); lapack_int is int64 in the 64_ ABI
+            solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+            solve.restype = ctypes.c_int64
+        return found
+    return None
+
+
+class _OneBlasThread:
+    """Holds the process-wide OpenBLAS thread count at 1 while any caller is
+    inside, and restores the count the first caller found when the last
+    one leaves.
+
+    Process-wide, not per thread: every BLAS call inside then runs the same
+    single-threaded kernels, whichever pool thread makes it. Callers are
+    counted, so concurrent ``run_trials`` calls neither restore the count
+    while another still runs nor restore the pinned 1.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved = 1
+
+    def __enter__(self):
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                if self._holders == 0:
+                    self._saved = blas.get_num_threads()
+                    blas.set_num_threads(1)
+                self._holders += 1
+
+    def __exit__(self, *exc):
+        blas = _openblas()
+        if blas is not None:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    blas.set_num_threads(self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
     Verifies Hermiticity to a relative 1e-9 first; the backward-stable
     solver then guarantees residuals at the epsilon * norm level for each eigenpair.
+    The solver is LAPACK's two-stage reduction (dense to band to
+    tridiagonal), run on a private C-contiguous copy that it overwrites;
+    read as column-major that copy is H^T = conj(H), which has the same
+    eigenvalues. Without the bundled OpenBLAS it is ``eigvalsh``.
     """
     H = np.asarray(H)
     _require_hermitian(H)
-    return np.linalg.eigvalsh(H)
+    blas = _openblas()
+    if blas is None:
+        return np.linalg.eigvalsh(H)
+    complex_ = np.iscomplexobj(H)
+    A = np.array(H, dtype=np.complex128 if complex_ else np.float64, order="C")
+    n = A.shape[0]
+    w = np.empty(n)
+    solve = blas.zheevd_2stage if complex_ else blas.dsyevd_2stage
+    info = solve(_LAPACK_COL_MAJOR, b"N", b"L", n, A.ctypes.data, max(n, 1), w.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"two-stage eigensolve failed with info={info}")
+    return w
 
 
 def _require_hermitian(H: np.ndarray) -> None:
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
     scale = max(1.0, float(np.linalg.norm(H)))
     if float(np.linalg.norm(H - H.conj().T)) > 1e-9 * scale:
         raise NumericalError("matrix is not Hermitian within tolerance")
@@ -367,9 +477,11 @@ def run_trials(
 
     Trial t draws from the (seed, t) stream, so the set of results is a
     pure function of the configuration regardless of thread count; the
-    reduction walks trials in index order. Each trial is solved on its
-    smaller side: ``tensor_esd`` when m > n^k, else ``esd`` on the Gram
-    matrix.
+    reduction walks trials in index order. The whole trial loop runs with
+    the bundled OpenBLAS at one thread, so ``threads`` pool workers use
+    ``threads`` cores and the bytes do not depend on the BLAS setting.
+    Each trial is solved on its smaller side: ``tensor_esd`` when
+    m > n^k, else ``esd`` on the Gram matrix.
 
     KS is measured against the tau = 1 law at ratio c. When every tau
     equals one v > 0 the spectrum is v times a tau = 1 spectrum, so KS is
@@ -392,11 +504,12 @@ def run_trials(
         scaled = replace(sample, nonzero_eigenvalues=sample.nonzero_eigenvalues / ks_scale)
         return TrialOutcome(t, sample, mplaw.ks_distance(scaled, c_ref))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, range(trials)))
-    else:
-        outcomes = [one(t) for t in range(trials)]
+    with _ONE_BLAS_THREAD:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                outcomes = list(pool.map(one, range(trials)))
+        else:
+            outcomes = [one(t) for t in range(trials)]
 
     mat = np.array([o.sample.trace_moments for o in outcomes])  # trials x P
     means = [float(v) for v in mat.mean(axis=0)]

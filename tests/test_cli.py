@@ -1,7 +1,8 @@
 """Exercise the command line through main() in-process.
 
 Exit-code contract: 0 success, 2 usage, 3 numerical, 4 verification.
-One test starts a fresh interpreter to inspect what the import loads.
+Two tests start fresh interpreters: one inspects what the import loads,
+one varies the BLAS thread count, which is read at interpreter start.
 """
 
 import dataclasses
@@ -455,3 +456,26 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(
+    simulation._openblas() is None, reason="numpy does not ship the scipy-openblas library"
+)
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    argv = ["simulate", "--n", "6", "--k", "4", "--c", "0.5", "--trials", "2", "--seed", "5"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tensormp.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = set()
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{blas}-threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "tensormp.cli", *argv, "--threads", threads,
+                 "--out", str(out), "--force"],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=path),
+                capture_output=True, check=True,
+            )
+            files = sorted(out.iterdir())
+            assert len(files) == 3
+            outputs.add(tuple((f.name, f.read_bytes()) for f in files))
+    assert len(outputs) == 1

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -116,6 +118,13 @@ def test_hermitian_eigenvalues_known_matrices():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NumericalError):
         t.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (2, 2, 2)])
+def test_hermitian_eigenvalues_rejects_non_square(shape):
+    # the solver reads n x n entries, so a wrong shape never reaches it
+    with pytest.raises(ValueError):
+        t.hermitian_eigenvalues(np.zeros(shape))
 
 
 def test_run_trials_deterministic():
@@ -287,3 +296,152 @@ def test_run_trials_solves_the_smaller_side(monkeypatch, m, side):
     monkeypatch.setattr(simulation, "gram_matrix" if side == "tensor" else "tensor_esd", refuse)
     r = t.run_trials(3, 3, m, t.PHASE, (1.0,) * m, 2, 1, 4)
     assert r.outcomes[0].sample.total_dimension == 27
+
+
+needs_openblas = pytest.mark.skipif(
+    simulation._openblas() is None, reason="numpy does not ship the scipy-openblas library"
+)
+
+
+def _assert_same_spectrum(got, want):
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
+
+
+def _tensor_side_matrix():
+    vecs = t.sample_base_vectors(3, 3, 54, t.PHASE, seed=4)
+    Y = simulation.tensor_vectors(vecs)
+    return np.conj(Y * _signed(54)) @ Y.T
+
+
+def _small_hermitian(size):
+    rng = np.random.default_rng(size)
+    X = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return X + X.conj().T
+
+
+SOLVER_CASES = {
+    "phase-gram": lambda: t.gram_matrix(t.sample_base_vectors(4, 3, 40, t.PHASE, seed=1)),
+    "rademacher-gram": lambda: t.gram_matrix(t.sample_base_vectors(4, 3, 40, t.RADEMACHER, seed=1)),
+    "tensor-side": _tensor_side_matrix,
+    "size-1": lambda: _small_hermitian(1),
+    "size-2": lambda: _small_hermitian(2),
+    "size-3": lambda: _small_hermitian(3),
+    # m > n^k: G (20 x 20) has rank at most n^k = 8
+    "rank-deficient": lambda: t.gram_matrix(t.sample_base_vectors(2, 3, 20, t.PHASE, seed=6)),
+}
+
+
+@needs_openblas
+@pytest.mark.parametrize("case", SOLVER_CASES)
+def test_two_stage_solver_matches_eigvalsh(case):
+    H = SOLVER_CASES[case]()
+    assert H.dtype == (np.float64 if case == "rademacher-gram" else np.complex128)
+    _assert_same_spectrum(t.hermitian_eigenvalues(H), np.linalg.eigvalsh(H))
+
+
+@needs_openblas
+@pytest.mark.parametrize(
+    "spec, n, k, m, signed",
+    [("phase", 4, 3, 32, False), ("rademacher", 3, 3, 20, True), ("phase", 3, 3, 40, True)],
+)
+def test_run_trials_without_openblas_gives_the_same_spectra(monkeypatch, spec, n, k, m, signed):
+    args = (n, k, m, EntryDistribution.parse(spec), _signed(m) if signed else np.ones(m), 4, 2, 9)
+    fast = t.run_trials(*args, threads=2)
+    monkeypatch.setattr(simulation, "_openblas", lambda: None)
+    slow = t.run_trials(*args, threads=2)
+    for a, b in zip(fast.outcomes, slow.outcomes):
+        assert a.sample.zero_multiplicity == b.sample.zero_multiplicity
+        _assert_same_spectrum(a.sample.nonzero_eigenvalues, b.sample.nonzero_eigenvalues)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_solvers_leave_their_input_alone(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(simulation, "_openblas", lambda: None)
+    for H in (_small_hermitian(5), _small_hermitian(5).real.copy()):
+        before = H.copy()
+        t.hermitian_eigenvalues(H)
+        assert np.array_equal(H, before)
+    for dist in (t.PHASE, t.RADEMACHER):
+        G = t.gram_matrix(t.sample_base_vectors(3, 2, 6, dist, seed=3))
+        before = G.copy()
+        for tau in (np.ones(6), _signed(6)):
+            t.esd(G, tau, 9)
+            assert np.array_equal(G, before)
+
+
+@needs_openblas
+def test_run_trials_pins_and_restores_blas_threads(monkeypatch):
+    blas = simulation._openblas()
+    outer = blas.get_num_threads()
+    seen = []
+    real_esd = simulation.esd
+
+    def spy(*args, **kwargs):
+        seen.append(blas.get_num_threads())
+        return real_esd(*args, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise NumericalError("injected")
+
+    try:
+        blas.set_num_threads(2)
+        monkeypatch.setattr(simulation, "esd", spy)
+        t.run_trials(3, 2, 4, t.PHASE, (1.0,) * 4, 2, 3, 5, threads=2)
+        assert seen == [1, 1, 1]
+        assert blas.get_num_threads() == 2
+        monkeypatch.setattr(simulation, "esd", fail)
+        with pytest.raises(NumericalError):
+            t.run_trials(3, 2, 4, t.PHASE, (1.0,) * 4, 2, 3, 5, threads=2)
+        assert blas.get_num_threads() == 2
+    finally:
+        blas.set_num_threads(outer)
+
+
+@needs_openblas
+def test_concurrent_run_trials_share_one_pin(monkeypatch):
+    # the thread count is process-wide state: overlapping run_trials calls
+    # must all run pinned, and the last one out restores the caller's count
+    blas = simulation._openblas()
+    outer = blas.get_num_threads()
+    seen = []
+    real_esd = simulation.esd
+
+    def spy(*args, **kwargs):
+        seen.append(blas.get_num_threads())
+        return real_esd(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "esd", spy)
+    interval = sys.getswitchinterval()
+    workers = [
+        threading.Thread(target=t.run_trials, args=(3, 2, 4, t.PHASE, (1.0,) * 4, 2, 6, s),
+                         kwargs={"threads": 2})
+        for s in range(6)
+    ]
+    try:
+        blas.set_num_threads(2)
+        sys.setswitchinterval(1e-6)
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert seen == [1] * 36
+        assert blas.get_num_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        blas.set_num_threads(outer)
+
+
+def test_bundled_openblas_exports_the_fast_path():
+    # a numpy wheel built on scipy-openblas must not fall back silently
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except TypeError:
+        pytest.skip("numpy < 1.25 has no show_config(mode=)")
+    if "scipy-openblas" not in {deps.get(k, {}).get("name") for k in ("blas", "lapack")}:
+        pytest.skip("numpy is not built on scipy-openblas")
+    blas = simulation._openblas()
+    assert blas is not None and all(callable(f) for f in blas)
