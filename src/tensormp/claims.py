@@ -108,6 +108,39 @@ def noncrossing_limit_sum(p: int, c: float, tau: moments.TauModel) -> float:
     return float(total)
 
 
+def pairwise_inner_factor(alpha, n: int, rule: moments.MixedMomentRule) -> Fraction:
+    """``moments.inner_factor`` as the walk-graph sum over every canonical i,
+    one ``graph_expectation_weight`` per pair."""
+    alpha = tuple(alpha)
+    p = len(alpha)
+    total = Fraction(0)
+    for i_seq in sequences.enumerate_canonical(p):
+        w = moments.graph_expectation_weight(i_seq, alpha, rule)
+        if w:
+            total += comb.falling_factorial(n, max(i_seq)) * w
+    return total / Fraction(n) ** p
+
+
+def pairwise_mean_trace_moment(
+    n: int, k: int, m: int, p: int, tau: moments.TauModel, rule: moments.MixedMomentRule
+) -> float:
+    """``moments.exact_mean_trace_moment`` as the sum over every canonical
+    alpha, with no class or degree-multiset reduction: Bell(p)^2 walk graphs."""
+    if tau.coefficients is not None and len(tau.coefficients) not in (1, m):
+        raise ValueError(f"got {len(tau.coefficients)} coefficients for m={m}; need m or 1")
+    assert n >= 1 and k >= 1 and m >= 1
+    power = [None] + [m * tau.mean_power(d) for d in range(1, p + 1)]
+    total = Fraction(0)
+    for alpha in sequences.enumerate_canonical(p):
+        s = max(alpha)
+        degrees = [sequences.degree(alpha, t) for t in range(1, s + 1)]
+        tau_fac = moments._injection_sum(degrees, m, power)
+        if tau_fac == 0:
+            continue
+        total += tau_fac * pairwise_inner_factor(alpha, n, rule) ** k
+    return float(total / Fraction(n) ** k)
+
+
 def dense_matrix(vecs: np.ndarray, tau) -> np.ndarray:
     """The n^k x n^k matrix sum_a tau_a Y_a Y_a^* by explicit tensor products."""
     m, k, n = vecs.shape
@@ -319,6 +352,20 @@ def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
                 brute = exhaustive_mean_trace(2, k, len(taus), p, taus, alphabet)
                 if abs(exact - brute) > 1e-12:
                     yield f"{spec} tau={taus} k={k} p={p} exact={exact!r} exhaustive={brute!r}"
+
+
+@_claim("moments", "exact oracle equals pairwise sum", "p<={p}",
+        "float-exact, rademacher and roots:3, tau = 0.5 + j/m, (n,k,m) = (2,3,3), (3,2,4)", cap=5)
+def _exact_pairwise(p_max, dims=((2, 3, 3), (3, 2, 4))):
+    rules = (moments.rademacher_rule(), moments.roots_of_unity_rule(3))
+    for n, k, m in dims:
+        tau = moments.TauModel(coefficients=tuple(0.5 + j / m for j in range(m)))
+        for rule in rules:
+            for p in range(1, p_max + 1):
+                got = moments.exact_mean_trace_moment(n, k, m, p, tau, rule)
+                want = pairwise_mean_trace_moment(n, k, m, p, tau, rule)
+                if got != want:
+                    yield f"{rule.name} n={n} k={k} m={m} p={p} exact={got!r} pairwise={want!r}"
 
 
 @_claim("moments", "phase weight iff paired", "p<={p}", "nonzero on paired graphs only", cap=5)

@@ -56,9 +56,8 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------ front door
 
 # Valid values of each numeric flag, checked once in main after parsing,
-# so --config values are checked too. P_CAP bounds every p_max: the exact
-# column enumerates sequences, and it keeps lambda^p and the limit
-# recursion bounded.
+# so --config values are checked too. P_CAP bounds the p_max of verify and
+# moments, whose claims and exact column enumerate sequences.
 DOMAINS = {
     **dict.fromkeys(("n", "k", "m", "trials", "bins", "threads"), (">= 1", lambda v: v >= 1)),
     "p_max": (f"in 1..{sequences.P_CAP}", lambda v: 1 <= v <= sequences.P_CAP),
@@ -69,9 +68,15 @@ DOMAINS = {
 }
 
 
-def _check(name: str, value, label: str | None = None):
-    """Returns value if it lies in the domain of flag name, else UsageError."""
-    rule, ok = DOMAINS[name]
+# simulate enumerates nothing: its trace moments are eigenvalue power
+# sums at any order, and one that overflows is a NumericalError (exit 3).
+COMMAND_DOMAINS = {"simulate": {"p_max": (">= 1", lambda v: v >= 1)}}
+
+
+def _check(name: str, value, label: str | None = None, command: str | None = None):
+    """Returns value if it lies in the domain of flag name (for command,
+    when it has its own), else UsageError."""
+    rule, ok = COMMAND_DOMAINS.get(command, {}).get(name, DOMAINS[name])
     if value is not None and not ok(value):
         raise UsageError(f"{label or '--' + name.replace('_', '-')}={value} must be {rule}")
     return value
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=None, help="sets m = round(c n^k) when --m absent")
     sp.add_argument("--dist", default="phase", help="phase | rademacher | roots:q (default phase)")
     sp.add_argument("--tau", default="const:1", help="const:v | file:PATH (default const:1)")
-    sp.add_argument("--p-max", type=int, default=4, help="max trace-moment order (default 4)")
+    sp.add_argument("--p-max", type=int, default=4, help="max trace-moment order, any p >= 1 (default 4)")
     sp.add_argument("--trials", type=int, default=10, help="number of trials (default 10)")
     sp.add_argument("--seed", type=int, default=0, help="experiment seed (default 0)")
     sp.add_argument(
@@ -422,7 +427,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return 2
         for name in DOMAINS:
-            _check(name, getattr(args, name, None))
+            _check(name, getattr(args, name, None), command=args.command)
         return int(args.func(args) or 0)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ Kreweras complement of its partition (Nica & Speicher 2006, Lecture 9).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -54,13 +53,13 @@ def build_graph(i_seq: Iterable[int], alpha: Iterable[int]) -> WalkGraph:
         raise ValueError(
             f"sequence lengths differ: i has {len(i_seq)}, alpha has {len(alpha)}"
         )
-    p = len(alpha)
-    down: Counter[EdgeKey] = Counter()
-    up: Counter[EdgeKey] = Counter()
-    for u in range(p):
-        down[(alpha[u], i_seq[u])] += 1
-        up[(alpha[(u + 1) % p], i_seq[u])] += 1
-    return WalkGraph(alpha, i_seq, dict(down), dict(up))
+    down: dict[EdgeKey, int] = {}
+    up: dict[EdgeKey, int] = {}
+    for key in zip(alpha, i_seq):
+        down[key] = down.get(key, 0) + 1
+    for key in zip(alpha[1:] + alpha[:1], i_seq):
+        up[key] = up.get(key, 0) + 1
+    return WalkGraph(alpha, i_seq, down, up)
 
 
 def classify(g: WalkGraph) -> GraphClass:

@@ -22,13 +22,16 @@ as floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .combinatorics import c1_count, falling_factorial
 from .graphs import build_graph
-from .sequences import degree, enumerate_canonical
+from .sequences import Canon, canonicalize, enumerate_canonical
 
 
 @dataclass(frozen=True)
@@ -179,21 +182,86 @@ def graph_expectation_weight(i_seq, alpha, rule: MixedMomentRule) -> int:
     return w
 
 
+def _mu_table(rule: MixedMomentRule, p: int) -> np.ndarray:
+    """table[a, b] = rule.mu(a, b) for a, b in 0..p, the weight of one
+    (alpha-value, i-value) key with a up and b down edges.
+
+    table[0, 0] is 1 whatever the rule says: only a key that the walk
+    never visits has no edges, and an absent key contributes no factor. The
+    table is int64 when every entry is 0 or +-1, so a product of entries
+    cannot overflow; otherwise it holds the rule's own exact numbers.
+    """
+    values = [[rule.mu(a, b) for b in range(p + 1)] for a in range(p + 1)]
+    values[0][0] = 1
+    small = all(isinstance(v, int) and abs(v) <= 1 for row in values for v in row)
+    return np.array(values, dtype=np.int64 if small else object)
+
+
+def _column_counts(alpha: Sequence[int], table: np.ndarray, cols: np.ndarray) -> list:
+    """[N_0, ..., N_p]: N_r sums the walk-graph weight n^p E(i, alpha) over
+    the canonical i with r distinct values.
+
+    ``cols`` is the Bell(p) x p array of canonical i, 0-based. Each row's
+    down and up edge counts per (alpha-value, i-value) key are counted in
+    one pass over a block of rows, and its weight is the product of
+    table[up, down] over the keys. Blocks keep each count array near 2^20
+    entries, whatever p.
+    """
+    a = np.asarray(alpha) - 1
+    rows, p = cols.shape
+    keys = int(a.max() + 1) * p
+    down_key, up_key = a * p + cols, np.roll(a, -1) * p + cols
+    r = cols.max(axis=1) + 1
+    counts = np.zeros(p + 1, dtype=table.dtype)
+    step = max(1, 2**20 // keys)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        base = np.arange(hi - lo)[:, None] * keys
+        size = (hi - lo) * keys
+        down = np.bincount((base + down_key[lo:hi]).ravel(), minlength=size)
+        up = np.bincount((base + up_key[lo:hi]).ravel(), minlength=size)
+        weight = table[up, down].reshape(hi - lo, keys).prod(axis=1)
+        np.add.at(counts, r[lo:hi], weight)
+    return counts.tolist()
+
+
+def _inner_from_counts(counts: Sequence, n: int) -> Fraction:
+    """sum_r n^(r) N_r / n^p, the inner factor from its column counts."""
+    p = len(counts) - 1
+    return sum(falling_factorial(n, r) * c for r, c in enumerate(counts)) / Fraction(n) ** p
+
+
 def inner_factor(alpha, n: int, rule: MixedMomentRule) -> Fraction:
     """The per-leg column sum: sum_r n^(r) sum_{i in C_{r,p}} E(i, alpha).
 
-    Exact rational in n. For the uniform-phase rule and non-crossing
-    alpha this collapses to n^(1-s) via the Stirling identity, because
-    the paired i with r distinct values number S(p+1-s, r).
+    Exact rational in n, evaluated from alpha's column counts N_r, so it
+    is a polynomial in n of degree p over n^p. For the uniform-phase rule
+    and non-crossing alpha this collapses to n^(1-s) via the Stirling
+    identity, because the paired i with r distinct values number
+    S(p+1-s, r). The walk-graph sum it replaces is the test oracle
+    ``claims.pairwise_inner_factor``.
     """
-    alpha = tuple(alpha)
+    alpha = canonicalize(alpha)
     p = len(alpha)
-    total = Fraction(0)
-    for i_seq in enumerate_canonical(p):
-        w = graph_expectation_weight(i_seq, alpha, rule)
-        if w:
-            total += falling_factorial(n, max(i_seq)) * w
-    return total / Fraction(n) ** p
+    cols = np.array(enumerate_canonical(p)) - 1
+    return _inner_from_counts(_column_counts(alpha, _mu_table(rule, p), cols), n)
+
+
+def _rotation_classes(seqs: Sequence[Canon], reflect: bool) -> list[tuple[Canon, int]]:
+    """The canonical sequences grouped by the canonical forms of their
+    rotations, and of their reversals when ``reflect``: one (first
+    member, class size) per class, in enumeration order."""
+    seen: set[Canon] = set()
+    out = []
+    for alpha in seqs:
+        if alpha in seen:
+            continue
+        orbit = set()
+        for seq in (alpha, alpha[::-1]) if reflect else (alpha,):
+            orbit.update(canonicalize(seq[j:] + seq[:j]) for j in range(len(seq)))
+        seen |= orbit
+        out.append((alpha, len(orbit)))
+    return out
 
 
 def _injection_sum(degrees: Sequence[int], m: int, power: Sequence[Fraction]) -> Fraction:
@@ -239,19 +307,31 @@ def exact_mean_trace_moment(
     an exponent and one coefficient costs nothing in m. Exact up to the
     final float conversion, which makes it the reference oracle for both
     the Monte Carlo sampler and the limiting formula.
+
+    The trace is cyclic, so both factors are the same for every rotation
+    of alpha, and reversing the walk swaps its up and down edges, which
+    leaves them unchanged when mu is symmetric. Each class of alpha under
+    those moves is evaluated once, and each tau factor once per degree
+    multiset. The sum over every alpha is the test oracle
+    ``claims.pairwise_mean_trace_moment``.
     """
     if tau.coefficients is not None and len(tau.coefficients) not in (1, m):
         raise ValueError(f"got {len(tau.coefficients)} coefficients for m={m}; need m or 1")
     assert n >= 1 and k >= 1 and m >= 1
     power = [None] + [m * tau.mean_power(d) for d in range(1, p + 1)]
+    table = _mu_table(rule, p)
+    seqs = enumerate_canonical(p)
+    cols = np.array(seqs) - 1
+    tau_factors: dict[tuple[int, ...], Fraction] = {}
     total = Fraction(0)
-    for alpha in enumerate_canonical(p):
-        s = max(alpha)
-        degrees = [degree(alpha, t) for t in range(1, s + 1)]
-        tau_fac = _injection_sum(degrees, m, power)
-        if tau_fac == 0:
+    for alpha, size in _rotation_classes(seqs, reflect=np.array_equal(table, table.T)):
+        degrees = tuple(sorted(Counter(alpha).values()))
+        if degrees not in tau_factors:
+            tau_factors[degrees] = _injection_sum(degrees, m, power)
+        if tau_factors[degrees] == 0:
             continue
-        total += tau_fac * inner_factor(alpha, n, rule) ** k
+        inner = _inner_from_counts(_column_counts(alpha, table, cols), n)
+        total += size * tau_factors[degrees] * inner**k
     return float(total / Fraction(n) ** k)
 
 

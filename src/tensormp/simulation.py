@@ -384,7 +384,8 @@ def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, seed, dims) -> Spectr
 
     The eigenvalue sum must match the weighted Gram trace t_gram. The
     trace moments (1/n^k) Tr M^p for p = 1..P are power sums of lam,
-    taken before the fold. Eigenvalues within ZERO_TOL * max|eigenvalue|
+    taken before the fold; one that is not finite is a NumericalError.
+    Eigenvalues within ZERO_TOL * max|eigenvalue|
     fold into the zero atom, whose multiplicity is the exact integer
     nk_scale - (number of nonzero eigenvalues).
     """
@@ -395,7 +396,11 @@ def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, seed, dims) -> Spectr
         raise NumericalError(
             f"trace mismatch: eigenvalue sum {t_eig!r} vs Gram trace {t_gram!r}"
         )
-    moments = [float(np.sum(lam**p)) / float(nk_scale) for p in range(1, P + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = [float(np.sum(lam**p)) / float(nk_scale) for p in range(1, P + 1)]
+    for p, value in enumerate(moments, start=1):
+        if not math.isfinite(value):
+            raise NumericalError(f"trace moment p={p} is {value!r}: lambda^p overflows a double")
     return SpectrumSample(
         nonzero_eigenvalues=np.asarray(nonzero, dtype=float),
         zero_multiplicity=int(nk_scale) - int(nonzero.size),

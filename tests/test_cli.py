@@ -66,6 +66,24 @@ def test_verify_p_cap_is_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_simulate_p_max_beyond_enumeration_cap(tmp_path, capsys):
+    # simulate enumerates nothing, so P_CAP does not bind its power sums
+    assert tensormp.P_CAP < 13
+    argv = "simulate --n 2 --k 2 --m 2 --trials 1 --p-max 13 --out".split()
+    rc, _, _ = run(capsys, *argv, str(tmp_path))
+    assert rc == 0
+    (mom,) = tmp_path.glob("*_trial_moments.csv")
+    rows = mom.read_text().strip().split("\n")[2:]
+    assert [row.split(",")[1] for row in rows] == [str(p) for p in range(1, 14)]
+
+
+def test_simulate_overflowing_moment_is_numerical_error(tmp_path, capsys):
+    argv = "simulate --n 2 --k 2 --m 2 --trials 1 --p-max 2 --tau const:1e200 --out".split()
+    rc, _, err = run(capsys, *argv, str(tmp_path))
+    assert rc == 3 and "numerical failure: trace moment p=2 is inf" in err
+    assert list(tmp_path.iterdir()) == []  # no report.json holding Infinity
+
+
 def test_missing_subcommand_prints_help(capsys):
     rc, out, _ = run(capsys)
     assert rc == 2

@@ -74,6 +74,22 @@ def test_is_delta1_matches_union_find_tree(pair):
     assert t.is_delta1(i_seq, alpha) == _glued_tree_by_union_find(i_seq, alpha)
 
 
+def _counter_graph(i_seq, alpha):
+    """build_graph's edge counts by two Counters, the reference."""
+    p = len(alpha)
+    down = Counter((alpha[u], i_seq[u]) for u in range(p))
+    up = Counter((alpha[(u + 1) % p], i_seq[u]) for u in range(p))
+    return dict(down), dict(up)
+
+
+@given(walk_pairs)
+def test_build_graph_matches_counter_reference(pair):
+    i_seq, alpha = pair
+    g = t.build_graph(i_seq, alpha)
+    assert (g.down, g.up) == _counter_graph(i_seq, alpha)
+    assert (g.alpha, g.i_seq) == (alpha, i_seq)
+
+
 def test_partner_known_values():
     assert t.delta1_partner((1,)) == (1,)
     assert t.delta1_partner((1, 1)) == (1, 2)

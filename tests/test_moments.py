@@ -11,10 +11,28 @@ the golden values below pin the expansion itself.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tensormp as t
-from tensormp import GraphClass, TauModel
-from tensormp.claims import CLAIMS, noncrossing_limit_sum
+from tensormp import GraphClass, MixedMomentRule, TauModel, claims, moments
+from tensormp.claims import (
+    CLAIMS,
+    noncrossing_limit_sum,
+    pairwise_inner_factor,
+    pairwise_mean_trace_moment,
+)
+
+# Not an entry law: an integer mu(a, b) != mu(b, a), whose inner factor
+# is invariant under rotation only (first at p = 6, alpha = (1,1,2,1,2,3)),
+# and whose entries above 1 take the column counts off their int64 path.
+SKEW = MixedMomentRule("skew", lambda a, b: (a + 1) * (2 * b + 1))
+SYMMETRIC_RULES = [
+    t.uniform_phase_rule(),
+    t.rademacher_rule(),
+    t.roots_of_unity_rule(3),
+    t.roots_of_unity_rule(4),
+]
 
 
 def test_limiting_moments_tau_one():
@@ -147,6 +165,54 @@ def test_single_weight_vanishes_for_all_rules():
 def test_inner_factor_collapse_for_phase():
     # for non-crossing alpha the i-sum telescopes to n^(1-s)
     assert CLAIMS["phase inner factor collapse"].run(6, ns=(2, 5, 9)) is None
+
+
+@pytest.mark.parametrize("rule", [*SYMMETRIC_RULES, SKEW], ids=lambda r: r.name)
+def test_inner_factor_equals_pairwise_sum(rule, monkeypatch):
+    # the walk-graph weight does not depend on n, so each (i, alpha) is weighed once
+    weigh, weights = t.graph_expectation_weight, {}
+
+    def memo(i_seq, alpha, rule_):
+        if (i_seq, alpha) not in weights:
+            weights[i_seq, alpha] = weigh(i_seq, alpha, rule_)
+        return weights[i_seq, alpha]
+
+    monkeypatch.setattr(moments, "graph_expectation_weight", memo)
+    for p in range(1, 7):
+        for a in t.enumerate_canonical(p):
+            for n in range(1, 6):
+                assert t.inner_factor(a, n, rule) == pairwise_inner_factor(a, n, rule), (a, n)
+
+
+def test_skew_rule_is_not_reduced_by_reversal(monkeypatch):
+    a = (1, 1, 2, 1, 2, 3)
+    assert t.inner_factor(a, 2, SKEW) != t.inner_factor(a[::-1], 2, SKEW)
+    tau = TauModel(coefficients=(0.5, 1.25, 2.0))
+    want = [pairwise_mean_trace_moment(2, 2, 3, p, tau, SKEW) for p in range(1, 7)]
+    # folding reversals first changes the total at p = 7, where the walk-graph
+    # sum is slow; there the alpha-by-alpha sum takes inner_factor, which the
+    # test above holds equal to the walk-graph sum
+    monkeypatch.setattr(claims, "pairwise_inner_factor", t.inner_factor)
+    want.append(pairwise_mean_trace_moment(2, 2, 3, 7, tau, SKEW))
+    assert [t.exact_mean_trace_moment(2, 2, 3, p, tau, SKEW) for p in range(1, 8)] == want
+
+
+def test_exact_oracle_equals_pairwise_sum_claim():
+    assert next(iter(CLAIMS["exact oracle equals pairwise sum"].check(6)), None) is None
+
+
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple),
+    st.integers(0, 5),
+    st.integers(1, 5),
+    st.sampled_from([*SYMMETRIC_RULES, SKEW]),
+)
+def test_inner_factor_rotation_and_reversal_invariance(alpha, shift, n, rule):
+    j = shift % len(alpha)
+    base = t.inner_factor(alpha, n, rule)
+    assert t.inner_factor(alpha[j:] + alpha[:j], n, rule) == base
+    if rule is not SKEW:
+        assert t.inner_factor(alpha[::-1], n, rule) == base
 
 
 def test_moment_table_csv():
