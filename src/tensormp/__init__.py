@@ -17,9 +17,12 @@ from .graphs import (
     WalkGraph,
     build_graph,
     classify,
+    classify_rows,
     count_consecutive_violations,
     delta1_partner,
+    delta1_rows,
     dump_graph,
+    edge_counts,
     is_delta1,
     paired_partners,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -55,16 +56,14 @@ def _claim(suite, name, scope, statement, cap=sequences.P_CAP):
 
 def _sequences(p_max: int, noncrossing: bool = False):
     """Each alpha of length p <= p_max (all, or the non-crossing ones) with
-    the list of every canonical sequence of length p, built once per p."""
+    the list of every canonical sequence of length p and its 0-based array,
+    built once per p."""
     for p in range(1, p_max + 1):
         seqs = sequences.enumerate_canonical(p)
+        cols = np.array(seqs) - 1
         for a in seqs:
             if not (noncrossing and sequences.is_crossing(a)):
-                yield a, seqs
-
-
-def _paired(i_seq, alpha) -> bool:
-    return graphs.classify(graphs.build_graph(i_seq, alpha)) is graphs.GraphClass.PAIRED
+                yield a, seqs, cols
 
 
 # --------------------------------------------------------------- oracles
@@ -77,10 +76,13 @@ def crossing_by_quartic_scan(alpha) -> bool:
     return False
 
 
-def brute_partner_search(alpha) -> list:
-    """Every balanced tree partner of alpha, by testing each candidate."""
+def brute_partner_search(alpha, cols: np.ndarray) -> list:
+    """Every balanced tree partner of alpha, by testing each canonical
+    candidate with p + 1 - s values in one ``delta1_rows`` pass; ``cols``
+    holds every canonical sequence of length p, 0-based."""
     p, s = len(alpha), max(alpha)
-    return [i for i in sequences.enumerate_canonical(p, p + 1 - s) if graphs.is_delta1(i, alpha)]
+    cands = cols[cols.max(axis=1) == p - s]
+    return [tuple(i) for i in (cands[graphs.delta1_rows(alpha, cands)] + 1).tolist()]
 
 
 def stirling_explicit(n: int, k: int) -> Fraction:
@@ -96,15 +98,15 @@ def noncrossing_limit_sum(p: int, c: float, tau: moments.TauModel) -> float:
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
     cfrac = Fraction(c)
+    mq = [None] + [Fraction(tau.moment(q)) for q in range(1, p + 1)]
     total = Fraction(0)
     for alpha in sequences.enumerate_canonical(p):
         if sequences.is_crossing(alpha):
             continue
-        s = max(alpha)
-        prod = Fraction(1)
-        for t in range(1, s + 1):
-            prod *= Fraction(tau.moment(sequences.degree(alpha, t)))
-        total += cfrac ** s * prod
+        prod = cfrac ** max(alpha)
+        for deg in Counter(alpha).values():
+            prod *= mq[deg]
+        total += prod
     return float(total)
 
 
@@ -200,14 +202,14 @@ def _canonical_order(p_max):
 
 @_claim("sequences", "degree sums", "p<={p}", "sum_t degree = p")
 def _degree_sums(p_max):
-    for a, _ in _sequences(p_max):
+    for a, *_ in _sequences(p_max):
         if sum(sequences.degree(a, t) for t in range(1, max(a) + 1)) != len(a):
             yield f"alpha={a}"
 
 
 @_claim("sequences", "crossing scan agreement", "p<={p}", "is_crossing = quartic scan", cap=8)
 def _crossing_scan(p_max):
-    for a, _ in _sequences(p_max):
+    for a, *_ in _sequences(p_max):
         if sequences.is_crossing(a) != crossing_by_quartic_scan(a):
             yield f"alpha={a}"
 
@@ -229,8 +231,8 @@ def _noncrossing_counts(p_max):
 
 @_claim("graphs", "tree partner uniqueness", "p<={p}", "one iff non-crossing, the constructed one")
 def _tree_partner(p_max):
-    for a, _ in _sequences(p_max):
-        found, partner = brute_partner_search(a), graphs.delta1_partner(a)
+    for a, _, cols in _sequences(p_max):
+        found, partner = brute_partner_search(a, cols), graphs.delta1_partner(a)
         crossing = sequences.is_crossing(a)
         if (partner is None) != crossing or found != ([] if crossing else [partner]):
             yield f"alpha={a} found={found} partner={partner}"
@@ -238,11 +240,11 @@ def _tree_partner(p_max):
 
 @_claim("graphs", "paired partner counts", "p<={p}", "constructed = classified, S(p+1-s, r) each")
 def _paired_counts(p_max):
-    for a, seqs in _sequences(p_max, noncrossing=True):
+    for a, _, cols in _sequences(p_max, noncrossing=True):
         p, s = len(a), max(a)
-        paired = sorted(i for i in seqs if _paired(i, a))
+        paired = cols[graphs.classify_rows(a, cols) == graphs.GraphClass.PAIRED]
         for r in range(1, p + 1):
-            brute = [i for i in paired if max(i) == r]
+            brute = [tuple(i) for i in (paired[paired.max(axis=1) == r - 1] + 1).tolist()]
             image = graphs.paired_partners(a, r)
             if image != brute or len(brute) != comb.stirling2(p + 1 - s, r):
                 yield f"alpha={a} r={r} constructed={image} classified={brute}"
@@ -250,15 +252,14 @@ def _paired_counts(p_max):
 
 @_claim("graphs", "dichotomy", "p<={p}", "paired or single only", cap=6)
 def _dichotomy(p_max):
-    for a, seqs in _sequences(p_max, noncrossing=True):
-        for i in seqs:
-            if graphs.classify(graphs.build_graph(i, a)) is graphs.GraphClass.OTHER:
-                yield f"alpha={a} i={i}"
+    for a, seqs, cols in _sequences(p_max, noncrossing=True):
+        for j in np.flatnonzero(graphs.classify_rows(a, cols) == graphs.GraphClass.OTHER):
+            yield f"alpha={a} i={seqs[j]}"
 
 
 @_claim("graphs", "tree partner diagnostics", "p<={p}", "no consecutive pairs")
 def _partner_diagnostics(p_max):
-    for a, _ in _sequences(p_max, noncrossing=True):
+    for a, *_ in _sequences(p_max, noncrossing=True):
         g = graphs.build_graph(graphs.delta1_partner(a), a)
         if graphs.count_consecutive_violations(g) is not None:
             yield f"alpha={a}"
@@ -371,9 +372,10 @@ def _exact_pairwise(p_max, dims=((2, 3, 3), (3, 2, 4))):
 @_claim("moments", "phase weight iff paired", "p<={p}", "nonzero on paired graphs only", cap=5)
 def _phase_weight(p_max):
     phase = moments.uniform_phase_rule()
-    for a, seqs in _sequences(p_max):
-        for i in seqs:
-            if (moments.graph_expectation_weight(i, a, phase) != 0) != _paired(i, a):
+    for a, seqs, cols in _sequences(p_max):
+        paired = graphs.classify_rows(a, cols) == graphs.GraphClass.PAIRED
+        for i, is_paired in zip(seqs, paired):
+            if (moments.graph_expectation_weight(i, a, phase) != 0) != is_paired:
                 yield f"i={i} alpha={a}"
 
 
@@ -381,7 +383,7 @@ def _phase_weight(p_max):
 def _inner_factor(p_max, ns=(5,)):
     phase = moments.uniform_phase_rule()
     for n in ns:
-        for a, _ in _sequences(p_max, noncrossing=True):
+        for a, *_ in _sequences(p_max, noncrossing=True):
             if moments.inner_factor(a, n, phase) != Fraction(n) ** (1 - max(a)):
                 yield f"n={n} alpha={a}"
 
@@ -408,8 +410,27 @@ def _crossing_decay(p_max, ns=(2, 3)):
     # non-crossing alpha give exactly 1 (the collapse above), so crossing ones vanish as k grows
     phase = moments.uniform_phase_rule()
     for n in ns:
-        for a, _ in _sequences(p_max):
+        for a, *_ in _sequences(p_max):
             if sequences.is_crossing(a):
                 r = Fraction(n) ** (max(a) - 1) * moments.inner_factor(a, n, phase)
                 if r > Fraction(2 * n - 1, n * n):
                     yield f"n={n} alpha={a} r={r}"
+
+
+@_claim("moments", "rademacher crossing persistence", "p<={p}",
+        "crossing alpha, rademacher: n^(s-1) inner factor = 1 at n=2, max 7/9 per p at n=3", cap=5)
+def _rademacher_crossing(p_max):
+    # at n = 2 no crossing alpha decays as k grows, which is why Rademacher
+    # reaches Poisson(c) there and not MP (fixed-n limit); at n = 3 they decay,
+    # though more slowly than the phase bound 5/9. No alpha shorter than 4 crosses.
+    rad = moments.rademacher_rule()
+    for p in range(4, p_max + 1):
+        worst = Fraction(0)
+        for a in sequences.enumerate_canonical(p):
+            if sequences.is_crossing(a):
+                r2 = Fraction(2) ** (max(a) - 1) * moments.inner_factor(a, 2, rad)
+                if r2 != 1:
+                    yield f"n=2 alpha={a} r={r2}"
+                worst = max(worst, Fraction(3) ** (max(a) - 1) * moments.inner_factor(a, 3, rad))
+        if worst != Fraction(7, 9):
+            yield f"n=3 p={p} max r={worst}"

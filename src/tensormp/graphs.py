@@ -9,13 +9,20 @@ Edge multiplicities between a vertex pair determine whether an expected
 trace contribution survives, which is what the classification below
 captures. A non-crossing alpha has exactly one tree partner, the
 Kreweras complement of its partition (Nica & Speicher 2006, Lecture 9).
+
+``build_graph``, ``classify`` and ``is_delta1`` take one pair; their row
+versions ``edge_counts``, ``classify_rows`` and ``delta1_rows`` take one
+alpha and an array of canonical i, one per row, and count every row's
+edges in one numpy pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .sequences import Canon, canonicalize, enumerate_canonical, is_crossing
 
@@ -93,6 +100,59 @@ def is_delta1(i_seq: Iterable[int], alpha: Iterable[int]) -> bool:
     if any(g.down.get(kv, 0) != 1 or g.up.get(kv, 0) != 1 for kv in g.edge_keys()):
         return False
     return len(set(g.i_seq)) + len(set(g.alpha)) == g.p + 1
+
+
+def edge_counts(
+    alpha: Iterable[int], cols: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Down and up edge counts of each row's walk graph, a block of rows at a time.
+
+    ``cols`` holds canonical i of alpha's length, one per row, 0-based.
+    Yields (rows, down, up) per block: down[j, (a - 1) p + v] counts the
+    down edges alpha_u -> i_u with alpha_u = a and i_u = v + 1 in row
+    rows.start + j, as ``build_graph`` counts them, and up the up edges.
+    Blocks keep each count array near 2^20 entries, whatever p.
+    """
+    a = np.asarray(tuple(alpha)) - 1
+    cols = np.asarray(cols)
+    if cols.ndim != 2 or cols.shape[1] != len(a):
+        raise ValueError(f"expected rows of length {len(a)}, got shape {cols.shape}")
+    rows, p = cols.shape
+    keys = int(a.max() + 1) * p
+    down_key, up_key = a * p + cols, np.roll(a, -1) * p + cols
+    step = max(1, 2**20 // keys)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        base = np.arange(hi - lo)[:, None] * keys
+        size = (hi - lo) * keys
+        down = np.bincount((base + down_key[lo:hi]).ravel(), minlength=size)
+        up = np.bincount((base + up_key[lo:hi]).ravel(), minlength=size)
+        yield slice(lo, hi), down.reshape(hi - lo, keys), up.reshape(hi - lo, keys)
+
+
+_CLASSES = np.array([GraphClass.PAIRED, GraphClass.SINGLE, GraphClass.OTHER], dtype=object)
+
+
+def classify_rows(alpha: Iterable[int], cols: np.ndarray) -> np.ndarray:
+    """``classify`` of each row's walk graph with alpha, as an object array
+    of GraphClass; ``cols`` is as in ``edge_counts``."""
+    out = np.empty(len(cols), dtype=object)
+    for rows, down, up in edge_counts(alpha, cols):
+        diff = np.abs(up - down)
+        code = np.where((diff == 1).any(axis=1), 1, np.where(diff.any(axis=1), 2, 0))
+        out[rows] = _CLASSES[code]
+    return out
+
+
+def delta1_rows(alpha: Iterable[int], cols: np.ndarray) -> np.ndarray:
+    """``is_delta1`` of each row with alpha, as a bool array; ``cols`` is as
+    in ``edge_counts``, so a row's r distinct values are its max + 1."""
+    alpha = tuple(alpha)
+    cols = np.asarray(cols)
+    out = cols.max(axis=1) + 1 + len(set(alpha)) == len(alpha) + 1
+    for rows, down, up in edge_counts(alpha, cols):
+        out[rows] &= ((down == up) & (down <= 1)).all(axis=1)
+    return out
 
 
 def delta1_partner(alpha: Iterable[int]) -> Canon | None:

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .combinatorics import c1_count, falling_factorial
-from .graphs import build_graph
+from .graphs import build_graph, edge_counts
 from .sequences import Canon, canonicalize, enumerate_canonical
 
 
@@ -201,27 +201,13 @@ def _column_counts(alpha: Sequence[int], table: np.ndarray, cols: np.ndarray) ->
     """[N_0, ..., N_p]: N_r sums the walk-graph weight n^p E(i, alpha) over
     the canonical i with r distinct values.
 
-    ``cols`` is the Bell(p) x p array of canonical i, 0-based. Each row's
-    down and up edge counts per (alpha-value, i-value) key are counted in
-    one pass over a block of rows, and its weight is the product of
-    table[up, down] over the keys. Blocks keep each count array near 2^20
-    entries, whatever p.
+    ``cols`` is the Bell(p) x p array of canonical i, 0-based. A row's
+    weight is the product of table[up, down] over its ``edge_counts``.
     """
-    a = np.asarray(alpha) - 1
-    rows, p = cols.shape
-    keys = int(a.max() + 1) * p
-    down_key, up_key = a * p + cols, np.roll(a, -1) * p + cols
     r = cols.max(axis=1) + 1
-    counts = np.zeros(p + 1, dtype=table.dtype)
-    step = max(1, 2**20 // keys)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        base = np.arange(hi - lo)[:, None] * keys
-        size = (hi - lo) * keys
-        down = np.bincount((base + down_key[lo:hi]).ravel(), minlength=size)
-        up = np.bincount((base + up_key[lo:hi]).ravel(), minlength=size)
-        weight = table[up, down].reshape(hi - lo, keys).prod(axis=1)
-        np.add.at(counts, r[lo:hi], weight)
+    counts = np.zeros(len(table), dtype=table.dtype)
+    for rows, down, up in edge_counts(alpha, cols):
+        np.add.at(counts, r[rows], table[up, down].prod(axis=1))
     return counts.tolist()
 
 

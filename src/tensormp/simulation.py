@@ -277,11 +277,23 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(H: np.ndarray) -> None:
+    """Refuse H unless it is square, finite and Hermitian to a relative 1e-9.
+
+    The Frobenius norm overflows once entries pass about 1e154; only then
+    is H first divided by its largest |entry|, or refused when an entry
+    is not finite, so a finite norm costs no extra pass over H.
+    """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    scale = max(1.0, float(np.linalg.norm(H)))
-    if float(np.linalg.norm(H - H.conj().T)) > 1e-9 * scale:
-        raise NumericalError("matrix is not Hermitian within tolerance")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(H))
+        if not math.isfinite(norm):
+            if not np.isfinite(H).all():
+                raise NumericalError("matrix has an entry that is not finite")
+            H = H / np.abs(H).max()
+            norm = float(np.linalg.norm(H))
+        if float(np.linalg.norm(H - H.conj().T)) > 1e-9 * max(1.0, norm):
+            raise NumericalError("matrix is not Hermitian within tolerance")
 
 
 @dataclass

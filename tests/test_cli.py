@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -82,6 +83,16 @@ def test_simulate_overflowing_moment_is_numerical_error(tmp_path, capsys):
     rc, _, err = run(capsys, *argv, str(tmp_path))
     assert rc == 3 and "numerical failure: trace moment p=2 is inf" in err
     assert list(tmp_path.iterdir()) == []  # no report.json holding Infinity
+
+
+def test_simulate_huge_tau_prints_no_runtime_warning(tmp_path, capsys):
+    # the Hermitian check no longer overflows numpy's norm at entries near 1e200
+    argv = "simulate --n 2 --k 2 --m 2 --trials 1 --p-max 2 --tau const:1e200 --out".split()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = run(capsys, *argv, str(tmp_path))
+    assert rc == 3 and "RuntimeWarning" not in err
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_missing_subcommand_prints_help(capsys):

@@ -8,6 +8,7 @@ gate runs the partner, dichotomy and paired-partner claims.
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -88,6 +89,74 @@ def test_build_graph_matches_counter_reference(pair):
     g = t.build_graph(i_seq, alpha)
     assert (g.down, g.up) == _counter_graph(i_seq, alpha)
     assert (g.alpha, g.i_seq) == (alpha, i_seq)
+
+
+def _cols(seqs):
+    return np.array(seqs) - 1
+
+
+def test_classify_rows_matches_classify():
+    for p in range(1, 7):
+        seqs = t.enumerate_canonical(p)
+        cols = _cols(seqs)
+        for a in seqs:
+            want = [t.classify(t.build_graph(i, a)) for i in seqs]
+            assert list(t.classify_rows(a, cols)) == want, a
+
+
+def test_delta1_rows_matches_is_delta1():
+    # every candidate set of the tree partner uniqueness claim
+    for p in range(1, 8):
+        for a in t.enumerate_canonical(p):
+            cands = t.enumerate_canonical(p, p + 1 - max(a))
+            want = [t.is_delta1(i, a) for i in cands]
+            assert t.delta1_rows(a, _cols(cands)).tolist() == want, a
+
+
+def test_delta1_rows_needs_p_plus_1_values():
+    # i = (1,2,2,1) walks the 4-cycle of alpha = (1,2,1,2) there and back: every
+    # key carries one down and one up edge, but r + s = 4, so it is no partner
+    a = (1, 2, 1, 2)
+    ((_, down, up),) = t.edge_counts(a, _cols([(1, 2, 2, 1)]))
+    assert (down == up).all() and down.max() == 1
+    seqs = t.enumerate_canonical(4)
+    assert t.delta1_rows(a, _cols(seqs)).tolist() == [t.is_delta1(i, a) for i in seqs]
+
+
+canonical_pairs = st.integers(1, 8).flatmap(
+    lambda p: st.tuples(*[st.lists(st.integers(1, p), min_size=p, max_size=p)] * 2)
+).map(lambda pair: tuple(t.canonicalize(seq) for seq in pair))
+
+
+@given(canonical_pairs)
+def test_edge_counts_match_build_graph(pair):
+    i_seq, alpha = pair
+    p = len(alpha)
+    ((rows, down, up),) = list(t.edge_counts(alpha, _cols([i_seq])))
+    assert rows == slice(0, 1) and down.shape == up.shape == (1, max(alpha) * p)
+
+    def as_dict(counts):
+        return {(key // p + 1, key % p + 1): int(c) for key, c in enumerate(counts[0]) if c}
+
+    g = t.build_graph(i_seq, alpha)
+    assert (as_dict(down), as_dict(up)) == (g.down, g.up)
+
+
+def test_row_functions_across_blocks():
+    # 360,000 rows of length 3 take two (s = 1) to four (s = 3) blocks of
+    # about 2^20 counts
+    seqs = t.enumerate_canonical(3)
+    cols = np.tile(_cols(seqs), (72_000, 1))
+    for a in ((1, 1, 1), (1, 2, 3)):
+        blocks = [rows for rows, _, _ in t.edge_counts(a, cols)]
+        assert len(blocks) > 1 and blocks[-1].stop == len(cols)
+        assert (t.classify_rows(a, cols) == np.tile(t.classify_rows(a, _cols(seqs)), 72_000)).all()
+        assert (t.delta1_rows(a, cols) == np.tile(t.delta1_rows(a, _cols(seqs)), 72_000)).all()
+
+
+def test_row_functions_reject_wrong_length():
+    with pytest.raises(ValueError):
+        t.classify_rows((1, 2, 1), _cols([(1, 2)]))
 
 
 def test_partner_known_values():

@@ -201,6 +201,24 @@ def test_exact_oracle_equals_pairwise_sum_claim():
     assert next(iter(CLAIMS["exact oracle equals pairwise sum"].check(6)), None) is None
 
 
+def test_rademacher_crossing_persistence_claim():
+    # the claim's cap is 5; its check runs at p = 6 here
+    assert next(iter(CLAIMS["rademacher crossing persistence"].check(6)), None) is None
+    # the phase rule decays at the same crossing alpha
+    a = (1, 2, 1, 2)
+    assert 2 * t.inner_factor(a, 2, t.rademacher_rule()) == 1
+    assert 2 * t.inner_factor(a, 2, t.uniform_phase_rule()) < 1
+
+
+def test_noncrossing_limit_sum_reads_each_tau_moment_once(monkeypatch):
+    tau = TauModel(coefficients=(0.5, 1.0, 1.5, 2.0))
+    want = t.limiting_moment(7, 0.5, tau)
+    moment, calls = TauModel.moment, []
+    monkeypatch.setattr(TauModel, "moment", lambda self, q: calls.append(q) or moment(self, q))
+    assert noncrossing_limit_sum(7, 0.5, tau) == want
+    assert calls == list(range(1, 8))
+
+
 @given(
     st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple),
     st.integers(0, 5),

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ def test_hermitian_eigenvalues_known_matrices():
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NumericalError):
         t.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_check_stays_live_at_huge_entries():
+    # the Frobenius norm of these matrices overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="not Hermitian"):
+            t.hermitian_eigenvalues(np.array([[1e200, 1e200], [0.0, 1e200]]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(NumericalError, match="not finite"):
+                t.hermitian_eigenvalues(np.array([[1.0, bad], [bad, 1.0]]))
+        simulation._require_hermitian(np.array([[1e200, 3e199j], [-3e199j, 1e200]]))
+        simulation._require_hermitian(np.array([[1e153, 1e153], [1e153, 1e153]]))
 
 
 @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (2, 2, 2)])
