@@ -8,6 +8,7 @@ keyword arguments. The brute-force oracles are defined here, once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -240,12 +241,14 @@ def _tree_partner(p_max):
 
 @_claim("graphs", "paired partner counts", "p<={p}", "constructed = classified, S(p+1-s, r) each")
 def _paired_counts(p_max):
+    blocks = functools.cache(sequences.enumerate_canonical)
     for a, _, cols in _sequences(p_max, noncrossing=True):
         p, s = len(a), max(a)
         paired = cols[graphs.classify_rows(a, cols) == graphs.GraphClass.PAIRED]
+        partner = graphs.delta1_partner(a)
         for r in range(1, p + 1):
             brute = [tuple(i) for i in (paired[paired.max(axis=1) == r - 1] + 1).tolist()]
-            image = graphs.paired_partners(a, r)
+            image = graphs.relabel_partner(partner, blocks(p + 1 - s, r))
             if image != brute or len(brute) != comb.stirling2(p + 1 - s, r):
                 yield f"alpha={a} r={r} constructed={image} classified={brute}"
 

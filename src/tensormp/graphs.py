@@ -188,11 +188,9 @@ def delta1_partner(alpha: Iterable[int]) -> Canon | None:
 def paired_partners(alpha: Iterable[int], r: int) -> list[Canon]:
     """All i-sequences with r distinct values whose walk graph is paired.
 
-    Constructed as images of the tree partner under block-label maps: for
-    each partition of {1, ..., p+1-s} into r blocks (a canonical sequence
-    of that length with r values), relabel the partner's values by their
-    block. The image count is S(p+1-s, r); r beyond p+1-s gives an empty
-    list. Crossing alpha raises ValueError.
+    Constructed as images of the tree partner under block-label maps (see
+    ``relabel_partner``); the image count is S(p+1-s, r), and r beyond
+    p+1-s gives an empty list. Crossing alpha raises ValueError.
     """
     alpha = canonicalize(alpha)
     if not 1 <= r <= len(alpha):
@@ -200,13 +198,21 @@ def paired_partners(alpha: Iterable[int], r: int) -> list[Canon]:
     base = delta1_partner(alpha)
     if base is None:
         raise ValueError(f"alpha={alpha} is crossing; paired partners need a tree partner")
-    q = max(base)  # p + 1 - s
-    out = []
-    for pi in enumerate_canonical(q, r):
-        # base lists values in first-appearance order and blocks are
-        # numbered by least element, so the image is already canonical
-        out.append(tuple(pi[v - 1] for v in base))
-    return sorted(out)
+    return relabel_partner(base, enumerate_canonical(max(base), r))
+
+
+def relabel_partner(partner: Canon, blocks: Iterable[Canon]) -> list[Canon]:
+    """Images of a tree partner with q = p+1-s values under block-label
+    maps, sorted.
+
+    Each block sequence (a canonical sequence of length q, the partition
+    of {1, ..., q} into its values) relabels the partner's values by their
+    block. With ``enumerate_canonical(q, r)`` as blocks the images are the
+    paired partners with r values, so one partner serves every r.
+    """
+    # partner lists values in first-appearance order and blocks are
+    # numbered by least element, so each image is already canonical
+    return sorted(tuple(pi[v - 1] for v in partner) for pi in blocks)
 
 
 @dataclass(frozen=True)

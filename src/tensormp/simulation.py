@@ -21,7 +21,12 @@ Eigenvalues come from LAPACK's two-stage tridiagonal reduction
 holds that OpenBLAS at one thread for its whole trial loop, so the
 trial pool supplies the parallelism. Without that library (MKL,
 Accelerate, an older wheel) both fall back to ``numpy.linalg.eigvalsh``
-at the process's BLAS thread count.
+at the process's BLAS thread count. The solve overwrites its matrix:
+each trial builds the Hermitian matrix it solves and hands it over, so
+only the public ``hermitian_eigenvalues`` copies. A tau >= 0 Gram-side
+trial holds two m x m matrices, G and the H solved in place; G is built
+a strip of rows at a time, and H is checked for Hermiticity a tile at a
+time.
 
 Reproducibility: random streams come from numpy's counter-based Philox
 generator keyed by SeedSequence((seed, trial)), so any trial can be
@@ -53,6 +58,8 @@ from .moments import (
 
 _IMAG_TOL = 1e-8
 ZERO_TOL = 1e-10  # relative to the largest |eigenvalue|; exact zeros land near 1e-15
+GRAM_STRIP = 128  # rows of G built per product in ``gram_matrix``
+HERMITIAN_TILE = 64  # block edge of the tiles ``_require_hermitian`` compares
 
 
 @dataclass(frozen=True)
@@ -126,14 +133,19 @@ def gram_matrix(vecs: np.ndarray) -> np.ndarray:
     """m x m Gram matrix of the tensor-product vectors, in the dtype of vecs.
 
     Inner products factor leg by leg, so the cost is O(m^2 k n) and the
-    n^k-dimensional vectors are never formed. The diagonal is 1 up to
-    rounding and G is conjugate-symmetric by construction.
+    n^k-dimensional vectors are never formed. G is filled GRAM_STRIP rows
+    at a time, so each leg's product is a strip, not a second m x m
+    matrix. The diagonal is 1 up to rounding and G is conjugate-symmetric
+    by construction.
     """
     m, k, _ = vecs.shape
-    G = np.ones((m, m), dtype=vecs.dtype)
-    for l in range(k):
-        V = vecs[:, l, :]
-        G *= V @ V.conj().T
+    (V0, V0h), *rest = [(vecs[:, l, :], vecs[:, l, :].conj().T) for l in range(k)]
+    G = np.empty((m, m), dtype=vecs.dtype)
+    for lo in range(0, m, GRAM_STRIP):
+        rows = slice(lo, lo + GRAM_STRIP)
+        np.matmul(V0[rows], V0h, out=G[rows])
+        for V, Vh in rest:
+            G[rows] *= V[rows] @ Vh
     return G
 
 
@@ -251,22 +263,32 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
+    """Ascending eigenvalues of a Hermitian matrix, leaving H unchanged.
+
+    The solve overwrites its matrix, so this hands it a copy of H: the
+    one copy any solve makes. Trials hand their own matrices straight to
+    the same in-place solve, ``_eigenvalues_in_place``, and copy nothing.
+    """
+    return _eigenvalues_in_place(np.array(H))
+
+
+def _eigenvalues_in_place(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian A that the caller gives up.
 
     Verifies Hermiticity to a relative 1e-9 first; the backward-stable
-    solver then guarantees residuals at the epsilon * norm level for each eigenpair.
-    The solver is LAPACK's two-stage reduction (dense to band to
-    tridiagonal), run on a private C-contiguous copy that it overwrites;
-    read as column-major that copy is H^T = conj(H), which has the same
-    eigenvalues. Without the bundled OpenBLAS it is ``eigvalsh``.
+    solver then guarantees residuals at the epsilon * norm level for each
+    eigenpair. The solver is LAPACK's two-stage reduction (dense to band
+    to tridiagonal), which overwrites A when A is C-contiguous float64 or
+    complex128 (any other A is converted first); read as column-major A
+    is A^T = conj(A), which has the same eigenvalues. Without the bundled
+    OpenBLAS it is ``eigvalsh``.
     """
-    H = np.asarray(H)
-    _require_hermitian(H)
+    _require_hermitian(A)
     blas = _openblas()
     if blas is None:
-        return np.linalg.eigvalsh(H)
-    complex_ = np.iscomplexobj(H)
-    A = np.array(H, dtype=np.complex128 if complex_ else np.float64, order="C")
+        return np.linalg.eigvalsh(A)
+    complex_ = np.iscomplexobj(A)
+    A = np.require(A, np.complex128 if complex_ else np.float64, ["C", "A", "W"])
     n = A.shape[0]
     w = np.empty(n)
     solve = blas.zheevd_2stage if complex_ else blas.dsyevd_2stage
@@ -277,23 +299,46 @@ def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(H: np.ndarray) -> None:
-    """Refuse H unless it is square, finite and Hermitian to a relative 1e-9.
+    """Refuse H unless it is square, finite and Hermitian to a relative 1e-9:
+    ||H - H^H||_F <= 1e-9 max(1, ||H||_F).
 
-    The Frobenius norm overflows once entries pass about 1e154; only then
-    is H first divided by its largest |entry|, or refused when an entry
-    is not finite, so a finite norm costs no extra pass over H.
+    Both Frobenius norms come from ``_hermitian_residual``, a tile at a
+    time, so no temporary as large as H is made. The squared norm
+    overflows once entries pass about 1e154; only then is H read again,
+    to refuse an entry that is not finite or else to divide every tile
+    by the largest |entry|.
     """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(H))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual, norm = _hermitian_residual(H)
         if not math.isfinite(norm):
-            if not np.isfinite(H).all():
+            strips = [H[lo:lo + HERMITIAN_TILE] for lo in range(0, H.shape[0], HERMITIAN_TILE)]
+            if not all(np.isfinite(s).all() for s in strips):
                 raise NumericalError("matrix has an entry that is not finite")
-            H = H / np.abs(H).max()
-            norm = float(np.linalg.norm(H))
-        if float(np.linalg.norm(H - H.conj().T)) > 1e-9 * max(1.0, norm):
-            raise NumericalError("matrix is not Hermitian within tolerance")
+            residual, norm = _hermitian_residual(H, max(float(np.abs(s).max()) for s in strips))
+    if residual > 1e-9 * max(1.0, norm):
+        raise NumericalError("matrix is not Hermitian within tolerance")
+
+
+def _hermitian_residual(H: np.ndarray, scale: float = 1.0) -> tuple[float, float]:
+    """(||H - H^H||_F, ||H||_F) of H / scale, summed over HERMITIAN_TILE
+    blocks: the norm over row strips, the residual over the lower block
+    triangle, each off-diagonal block standing for its mirror too."""
+    m = H.shape[0]
+    norm2 = resid2 = 0.0
+    for lo in range(0, m, HERMITIAN_TILE):
+        rows = slice(lo, lo + HERMITIAN_TILE)
+        strip = H[rows] if scale == 1.0 else H[rows] / scale
+        norm2 += np.vdot(strip, strip).real
+        for lo2 in range(0, lo + 1, HERMITIAN_TILE):
+            cols = slice(lo2, lo2 + HERMITIAN_TILE)
+            d = np.conjugate(H[rows, cols])
+            d -= H[cols, rows].T  # conj(H - H^H) on this block
+            if scale != 1.0:
+                d /= scale
+            resid2 += (1 if lo2 == lo else 2) * np.vdot(d, d).real
+    return math.sqrt(resid2), math.sqrt(norm2)
 
 
 @dataclass
@@ -325,26 +370,32 @@ def esd(
     D G is similar to sign(tau) H with H = |D|^(1/2) G |D|^(1/2) Hermitian.
     For tau >= 0 H is eigensolved; for mixed signs H = F F^*, F keeping
     the eigenvectors of H's numerical rank r (eigenvalues above m eps max),
-    and the r x r Hermitian F^* sign(tau) F is. The trace identity checks
-    the eigenvalue sum against sum_a tau_a G[a, a]; the fold and the
-    moments are those of ``_spectrum_sample``.
+    and the r x r Hermitian F^* sign(tau) F is. Either matrix is solved
+    in place, and G is left untouched. The trace identity checks the
+    eigenvalue sum against sum_a tau_a G[a, a]; the fold and the moments
+    are those of ``_spectrum_sample``.
     """
     tau = np.asarray(tau, dtype=float)
     m = G.shape[0]
     if tau.shape != (m,):
         raise ValueError(f"tau length {tau.shape} does not match m={m}")
     root = np.sqrt(np.abs(tau))
-    H = root[:, None] * G * root[None, :]
+    H = np.multiply(G, root[:, None], order="C")
+    H *= root  # H[a, b] = root_a G[a, b] root_b
+    t_gram = float((tau * np.diag(G).real).sum())
     if np.all(tau >= 0):
-        lam = hermitian_eigenvalues(H)
+        lam = _eigenvalues_in_place(H)
     else:
         _require_hermitian(H)
         w, F = np.linalg.eigh(H)  # ascending, so the kept columns trail
+        del H  # from here the trial holds G and F
         r = np.count_nonzero(w > m * np.finfo(float).eps * w[-1])
         F = F[:, m - r:]
         F *= np.sqrt(w[m - r:])
-        lam = hermitian_eigenvalues(F.conj().T @ (np.sign(tau)[:, None] * F))
-    t_gram = float((tau * np.diag(G).real).sum())
+        S = np.sign(tau)[:, None] * F
+        np.conjugate(F, out=F)
+        # (sign(tau) F)^T conj(F) = conj(F^* sign(tau) F): Hermitian, same eigenvalues
+        lam = _eigenvalues_in_place(S.T @ F)
     return _spectrum_sample(lam, t_gram, nk_scale, P, seed, dims)
 
 
@@ -383,12 +434,15 @@ def tensor_esd(
     if tau.shape != (m,):
         raise ValueError(f"tau length {tau.shape} does not match m={m}")
     Y = tensor_vectors(vecs)
+    nk = Y.shape[0]
     W = Y * tau
     np.conjugate(W, out=W)  # in place, so only two n^k x m arrays are held
     # W Y^T = conj(M), which is Hermitian with the eigenvalues of M
-    lam = hermitian_eigenvalues(W @ Y.T)
+    M = W @ Y.T
+    del W, Y  # the solve holds only M
+    lam = _eigenvalues_in_place(M)
     norms = np.prod(np.sum(np.abs(vecs) ** 2, axis=2), axis=1)
-    return _spectrum_sample(lam, float((tau * norms).sum()), Y.shape[0], P, seed, dims)
+    return _spectrum_sample(lam, float((tau * norms).sum()), nk, P, seed, dims)
 
 
 def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, seed, dims) -> SpectrumSample:
@@ -453,18 +507,24 @@ class SimulationReport:
 
 
 def estimate_gram_bytes(m: int, nk: int, signed: bool) -> int:
-    """Peak complex working-set estimate for one trial, in bytes.
+    """Peak working-set estimate for one trial, in bytes, counted in
+    complex matrices.
 
-    On the Gram side (m <= n^k) it counts m x m matrices: five for
-    tau >= 0 and seven for signed tau, whose eigh also builds the
-    eigenvector factor F. A phase trial at m = 2048 with one BLAS thread
-    peaks at 4.15 (tau = 1) and 6.27 (alternating 1, -0.5) of them above
-    the interpreter. When m > n^k, six n^k x n^k matrices plus the
-    n^k x m tensor matrix and its weighted copy.
+    Gram side (m <= n^k), in m x m matrices: for tau >= 0 a trial holds G
+    and the H that the solve overwrites; it counts three. Signed tau also
+    needs the eigenvector factor F: numpy's eigh holds G, H and F, plus
+    its private copy of H and LAPACK work arrays, about three more; the
+    product F^* sign(tau) F then holds G, F, sign(tau) F and the r x r
+    result. It counts seven. Under tracemalloc a phase trial at m = 2048
+    peaks at 2.0 (tau = 1) and 4.0 (alternating 1, -0.5) of them; eigh's
+    private arrays are outside its view, and the signed trial's resident
+    set peaks 6.2 of them above the interpreter. When m > n^k: the
+    n^k x m tensor matrix and its weighted copy, the n^k x n^k product,
+    and one n^k x n^k matrix of margin.
     """
     if m > nk:
-        return 16 * (6 * nk * nk + 2 * m * nk)
-    return 16 * (7 if signed else 5) * m * m
+        return 16 * (2 * nk * nk + 2 * m * nk)
+    return 16 * (7 if signed else 3) * m * m
 
 
 def constant_weight(tau_coeffs) -> float | None:

@@ -176,8 +176,8 @@ def test_simulate_memory_guard(capsys):
 
 
 def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
-    # one tau = 1 trial at m = 100 is estimated at 0.8 MB, two at once at 1.6 MB
-    argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 1e6".split()
+    # one tau = 1 trial at m = 100 is estimated at 0.48 MB, two at once at 0.96 MB
+    argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 7e5".split()
     monkeypatch.setattr(simulation, "run_trials", no_trial)
     rc, _, err = run(capsys, *argv, "--threads", "2")
     assert rc == 2 and "exceeds limit" in err
@@ -187,9 +187,9 @@ def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
 
 
 def test_memory_guard_reads_the_sign_of_tau(tmp_path, monkeypatch, capsys):
-    # one Gram-side trial at m = 100: 0.8 MB for tau = 1, 1.12 MB for signed tau
+    # one Gram-side trial at m = 100: 0.48 MB for tau = 1, 1.12 MB for signed tau
     (tmp_path / "tau.txt").write_text("1\n-0.5\n" * 50)
-    argv = "simulate --n 10 --k 2 --m 100 --trials 1 --mem-limit 1e6".split()
+    argv = "simulate --n 10 --k 2 --m 100 --trials 1 --mem-limit 7e5".split()
     monkeypatch.setattr(simulation, "run_trials", no_trial)
     rc, _, err = run(capsys, *argv, "--tau", f"file:{tmp_path / 'tau.txt'}")
     assert rc == 2 and "exceeds limit" in err
@@ -199,8 +199,9 @@ def test_memory_guard_reads_the_sign_of_tau(tmp_path, monkeypatch, capsys):
 
 
 def test_memory_guard_sizes_the_solved_side(capsys):
-    # m = 108 > n^k = 27: 27 x 27 matrices plus two 27 x 108 ones, 0.16 MB
-    rc, _, err = run(capsys, *"simulate --n 3 --k 3 --c 4 --trials 1 --mem-limit 2e5".split())
+    # m = 108 > n^k = 27: two 27 x 27 matrices plus two 27 x 108 ones, 0.12 MB;
+    # three 108 x 108 ones would be 0.56 MB
+    rc, _, err = run(capsys, *"simulate --n 3 --k 3 --c 4 --trials 1 --mem-limit 1.5e5".split())
     assert rc == 0 and "exceeds limit" not in err
 
 

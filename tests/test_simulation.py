@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -55,6 +56,25 @@ def test_rademacher_vectors_are_real():
     assert vecs.dtype == np.float64
     assert np.all(np.abs(vecs) == 1 / math.sqrt(5))
     assert t.gram_matrix(vecs).dtype == np.float64
+
+
+def _gram_by_legs(vecs):
+    # the whole m x m product of each leg, multiplied into G one leg at a time
+    m, k, _ = vecs.shape
+    G = np.ones((m, m), dtype=vecs.dtype)
+    for l in range(k):
+        V = vecs[:, l, :]
+        G *= V @ V.conj().T
+    return G
+
+
+@pytest.mark.parametrize("m", [1, simulation.GRAM_STRIP - 1, simulation.GRAM_STRIP + 1, 300])
+@pytest.mark.parametrize("dist", [t.PHASE, t.RADEMACHER], ids=["phase", "rademacher"])
+def test_strip_gram_matches_leg_products(dist, m):
+    vecs = t.sample_base_vectors(3, 4, m, dist, seed=m)
+    G = t.gram_matrix(vecs)
+    assert G.dtype == vecs.dtype
+    assert np.max(np.abs(G - _gram_by_legs(vecs))) <= 1e-15
 
 
 def test_gram_matches_dense_spectrum():
@@ -134,6 +154,37 @@ def test_hermitian_check_stays_live_at_huge_entries():
         simulation._require_hermitian(np.array([[1e153, 1e153], [1e153, 1e153]]))
 
 
+TILE = simulation.HERMITIAN_TILE
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("size", [1, 2, TILE - 1, TILE + 1, 300])
+def test_tiled_hermitian_residual_matches_dense_norms(size, complex_):
+    rng = np.random.default_rng(size)
+    X = rng.standard_normal((size, size))
+    if complex_:
+        X = X + 1j * rng.standard_normal((size, size))
+    for H in (X, X + X.conj().T):
+        for scale in (1.0, 3.0):
+            residual, norm = simulation._hermitian_residual(H, scale)
+            dense = np.linalg.norm((H - H.conj().T) / scale), np.linalg.norm(H / scale)
+            assert (residual, norm) == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "i, j",
+    [(299, 297), (297, 299), (TILE + 6, 5), (5, TILE + 6)],
+    ids=["partial-tile-lower", "partial-tile-upper", "off-diagonal-lower", "off-diagonal-upper"],
+)
+def test_hermitian_check_finds_one_asymmetric_entry(i, j):
+    assert 300 % TILE and 299 // TILE == 300 // TILE and (TILE + 6) // TILE != 5 // TILE
+    H = _small_hermitian(300)
+    simulation._require_hermitian(H)
+    H[i, j] += 1e-7 * np.linalg.norm(H)
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        simulation._require_hermitian(H)
+
+
 @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3), (2, 2, 2)])
 def test_hermitian_eigenvalues_rejects_non_square(shape):
     # the solver reads n x n entries, so a wrong shape never reaches it
@@ -197,12 +248,51 @@ def test_histogram_rows_mass_and_atom():
 
 
 def test_estimate_gram_bytes():
-    # the Gram side counts five m x m matrices for tau >= 0, seven for signed tau
-    assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 5
+    # the Gram side counts three m x m matrices for tau >= 0, seven for signed tau
+    assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 3
     assert estimate_gram_bytes(2048, 4096, True) == 16 * 2048 * 2048 * 7
-    # m > n^k: the n^k side, plus the n^k x m tensor matrix and its weighted copy
+    # m > n^k: two n^k x n^k matrices, the n^k x m tensor matrix and its weighted copy
     for signed in (False, True):
-        assert estimate_gram_bytes(8192, 4096, signed) == 16 * (6 * 4096 * 4096 + 2 * 8192 * 4096)
+        assert estimate_gram_bytes(8192, 4096, signed) == 16 * (2 * 4096 * 4096 + 2 * 8192 * 4096)
+
+
+def _eigh_workspace_bytes(m):
+    # numpy's eigh mallocs, out of tracemalloc's view, its copy of the
+    # m x m complex input and zheevd's work arrays at LAPACK's sizes:
+    # m^2 + 2m complex, 1 + 5m + 2m^2 real, 3 + 5m integers
+    return 16 * m * m + 16 * (m * m + 2 * m) + 8 * (2 * m * m + 5 * m + 1) + 8 * (5 * m + 3)
+
+
+@pytest.mark.parametrize("kind", ["tau=1", "signed", "tensor"])
+def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
+    n, k, m = (4, 4, 512) if kind == "tensor" else (4, 5, 512)
+    nk = n**k
+    tau = _signed(m) if kind == "signed" else np.ones(m)
+    vecs = t.sample_base_vectors(n, k, m, t.PHASE, seed=1)
+    real_eigh, in_eigh = np.linalg.eigh, [0]
+
+    def eigh(H):
+        out = real_eigh(H)
+        in_eigh[0] = tracemalloc.get_traced_memory()[0] + _eigh_workspace_bytes(len(H))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if kind == "tensor":
+            simulation.tensor_esd(vecs, tau)
+        else:
+            t.esd(t.gram_matrix(vecs), tau, nk)
+        peak = max(tracemalloc.get_traced_memory()[1], in_eigh[0]) - base
+    finally:
+        tracemalloc.stop()
+    assert (in_eigh[0] > 0) == (kind == "signed")
+    one = 16 * (m * nk if kind == "tensor" else m * m)  # the trial's largest matrix
+    estimate = estimate_gram_bytes(m, nk, kind == "signed")
+    assert estimate - one <= peak <= estimate
+    if kind == "tau=1":
+        assert peak <= 2.5 * one  # G and H, which the solve overwrites
 
 
 def test_phase_rotation_invariance_of_gram_moments():
@@ -378,12 +468,19 @@ def test_solvers_leave_their_input_alone(monkeypatch, fallback):
         before = H.copy()
         t.hermitian_eigenvalues(H)
         assert np.array_equal(H, before)
+    # m = 200 spans two Gram strips and four Hermitian-check tiles
     for dist in (t.PHASE, t.RADEMACHER):
-        G = t.gram_matrix(t.sample_base_vectors(3, 2, 6, dist, seed=3))
-        before = G.copy()
-        for tau in (np.ones(6), _signed(6)):
-            t.esd(G, tau, 9)
-            assert np.array_equal(G, before)
+        for n, k, m in ((3, 2, 6), (3, 5, 200)):
+            G = t.gram_matrix(t.sample_base_vectors(n, k, m, dist, seed=3))
+            before = G.copy()
+            for tau in (np.ones(m), _signed(m)):
+                t.esd(G, tau, n**k)
+                assert np.array_equal(G, before)
+        vecs = t.sample_base_vectors(3, 2, 20, dist, seed=3)  # m > n^k: the tensor side
+        before = vecs.copy()
+        for tau in (np.ones(20), _signed(20)):
+            simulation.tensor_esd(vecs, tau)
+            assert np.array_equal(vecs, before)
 
 
 @needs_openblas
