@@ -111,6 +111,13 @@ def noncrossing_limit_sum(p: int, c: float, tau: moments.TauModel) -> float:
     return float(total)
 
 
+def injection_sum_by_enumeration(degrees, taus) -> Fraction:
+    """The tau factor by brute force: prod_t taus[phi(t)]^degrees[t] summed
+    over every injection phi of the degree slots into the weights."""
+    images = itertools.permutations([Fraction(t) for t in taus], len(degrees))
+    return sum((math.prod(t**d for t, d in zip(phi, degrees)) for phi in images), Fraction(0))
+
+
 def pairwise_inner_factor(alpha, n: int, rule: moments.MixedMomentRule) -> Fraction:
     """``moments.inner_factor`` as the walk-graph sum over every canonical i,
     one ``graph_expectation_weight`` per pair."""
@@ -128,16 +135,12 @@ def pairwise_mean_trace_moment(
     n: int, k: int, m: int, p: int, tau: moments.TauModel, rule: moments.MixedMomentRule
 ) -> float:
     """``moments.exact_mean_trace_moment`` as the sum over every canonical
-    alpha, with no class or degree-multiset reduction: Bell(p)^2 walk graphs."""
-    if tau.coefficients is not None and len(tau.coefficients) not in (1, m):
-        raise ValueError(f"got {len(tau.coefficients)} coefficients for m={m}; need m or 1")
+    alpha, with no class reduction: Bell(p)^2 walk graphs."""
+    tau_factor = moments._tau_factor(tau, m, p)
     assert n >= 1 and k >= 1 and m >= 1
-    power = [None] + [m * tau.mean_power(d) for d in range(1, p + 1)]
     total = Fraction(0)
     for alpha in sequences.enumerate_canonical(p):
-        s = max(alpha)
-        degrees = [sequences.degree(alpha, t) for t in range(1, s + 1)]
-        tau_fac = moments._injection_sum(degrees, m, power)
+        tau_fac = tau_factor(Counter(alpha).values())
         if tau_fac == 0:
             continue
         total += tau_fac * pairwise_inner_factor(alpha, n, rule) ** k
@@ -356,6 +359,17 @@ def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
                 brute = exhaustive_mean_trace(2, k, len(taus), p, taus, alphabet)
                 if abs(exact - brute) > 1e-12:
                     yield f"{spec} tau={taus} k={k} p={p} exact={exact!r} exhaustive={brute!r}"
+
+
+@_claim("moments", "tau factor equals injection enumeration", "p<={p}",
+        "exact, every degree multiset of sum <= p, tau = 0.5, 1.25, -2, 3", cap=6)
+def _tau_factor_enumeration(p_max, taus=(0.5, 1.25, -2.0, 3.0)):
+    # at m = 4 every multiset of more than 4 degrees checks the zero case
+    tau_factor = moments._tau_factor(moments.TauModel(coefficients=taus), len(taus), p_max)
+    for degrees in sorted({tuple(sorted(Counter(a).values())) for a, *_ in _sequences(p_max)}):
+        got, want = tau_factor(degrees), injection_sum_by_enumeration(degrees, taus)
+        if got != want:
+            yield f"degrees={degrees} recursion={got} enumeration={want}"
 
 
 @_claim("moments", "exact oracle equals pairwise sum", "p<={p}",

@@ -21,7 +21,7 @@ as floats.
 
 from __future__ import annotations
 
-import math
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -250,29 +250,33 @@ def _rotation_classes(seqs: Sequence[Canon], reflect: bool) -> list[tuple[Canon,
     return out
 
 
-def _injection_sum(degrees: Sequence[int], m: int, power: Sequence[Fraction]) -> Fraction:
-    """Sum over injections phi: {1..s} -> {1..m} of prod_t tau_phi(t)^degrees[t].
+def _tau_factor(tau: TauModel, m: int, p: int) -> Callable[[Iterable[int]], Fraction]:
+    """The tau factor of degrees d_1..d_s summing to at most p, memoised on
+    their multiset: sum over injections phi: {1..s} -> {1..m} of
+    prod_t tau_phi(t)^d_t, from the power sums P_d = m * tau.mean_power(d).
 
-    ``power[d]`` is the power sum sum_j tau_j^d of the m weights.
-    Inclusion-exclusion over set partitions of the s degree slots: each
-    partition contributes prod_blocks (-1)^(|B|-1) (|B|-1)! times the
-    power sum of the block's total degree. Cost is Bell(s), whatever m.
+    Slot 1 shares its weight with no other slot, or with exactly one slot
+    j, which merges their degrees: inj(d_1, rest) = P_d_1 inj(rest) -
+    sum_j inj(rest with d_j + d_1), inj(()) = 1, and inj = 0 once s > m.
+    The test oracle is ``claims.injection_sum_by_enumeration``.
     """
-    s = len(degrees)
-    if s > m:
-        return Fraction(0)
-    total = Fraction(0)
-    for pi in enumerate_canonical(s):  # set partitions as block-label sequences
-        blocks: dict[int, list[int]] = {}
-        for pos, lab in enumerate(pi):
-            blocks.setdefault(lab, []).append(pos)
-        term = Fraction(1)
-        for members in blocks.values():
-            d = sum(degrees[t] for t in members)
-            sign = -1 if len(members) % 2 == 0 else 1
-            term *= sign * math.factorial(len(members) - 1) * power[d]
-        total += term
-    return total
+    if tau.coefficients is not None and len(tau.coefficients) not in (1, m):
+        raise ValueError(f"got {len(tau.coefficients)} coefficients for m={m}; need m or 1")
+    power = [None] + [m * tau.mean_power(d) for d in range(1, p + 1)]
+
+    @functools.cache
+    def inj(degrees: tuple[int, ...]) -> Fraction:
+        if len(degrees) > m:
+            return Fraction(0)
+        if not degrees:
+            return Fraction(1)
+        d1, rest = degrees[0], degrees[1:]
+        total = power[d1] * inj(rest)
+        for j, d in enumerate(rest):
+            total -= inj(tuple(sorted(rest[:j] + (d + d1,) + rest[j + 1:])))
+        return total
+
+    return lambda degrees: inj(tuple(sorted(degrees)))
 
 
 def exact_mean_trace_moment(
@@ -288,11 +292,11 @@ def exact_mean_trace_moment(
     Evaluates, over canonical row sequences alpha with s distinct values,
     the injection-weighted tau factor times inner_factor(alpha, n, rule)
     raised to the k-th power, all divided by n^k. ``tau`` holds m
-    coefficients or one (m equal weights); they enter only through the
-    power sums m * tau.mean_power(d), d <= p, built once, so k is only
-    an exponent and one coefficient costs nothing in m. Exact up to the
-    final float conversion, which makes it the reference oracle for both
-    the Monte Carlo sampler and the limiting formula.
+    coefficients or one (m equal weights) and enters only through
+    ``_tau_factor``, so k is only an exponent and one coefficient costs
+    nothing in m. Exact up to the final float conversion, which makes it
+    the reference oracle for both the Monte Carlo sampler and the
+    limiting formula.
 
     The trace is cyclic, so both factors are the same for every rotation
     of alpha, and reversing the walk swaps its up and down edges, which
@@ -301,23 +305,18 @@ def exact_mean_trace_moment(
     multiset. The sum over every alpha is the test oracle
     ``claims.pairwise_mean_trace_moment``.
     """
-    if tau.coefficients is not None and len(tau.coefficients) not in (1, m):
-        raise ValueError(f"got {len(tau.coefficients)} coefficients for m={m}; need m or 1")
+    tau_factor = _tau_factor(tau, m, p)
     assert n >= 1 and k >= 1 and m >= 1
-    power = [None] + [m * tau.mean_power(d) for d in range(1, p + 1)]
     table = _mu_table(rule, p)
     seqs = enumerate_canonical(p)
     cols = np.array(seqs) - 1
-    tau_factors: dict[tuple[int, ...], Fraction] = {}
     total = Fraction(0)
     for alpha, size in _rotation_classes(seqs, reflect=np.array_equal(table, table.T)):
-        degrees = tuple(sorted(Counter(alpha).values()))
-        if degrees not in tau_factors:
-            tau_factors[degrees] = _injection_sum(degrees, m, power)
-        if tau_factors[degrees] == 0:
+        tau_fac = tau_factor(Counter(alpha).values())
+        if tau_fac == 0:
             continue
         inner = _inner_from_counts(_column_counts(alpha, table, cols), n)
-        total += size * tau_factors[degrees] * inner**k
+        total += size * tau_fac * inner**k
     return float(total / Fraction(n) ** k)
 
 

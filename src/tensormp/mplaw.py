@@ -47,19 +47,6 @@ class MPLaw:
         return max(0.0, 1.0 - self.c)
 
 
-def density(x: float, c: float) -> float:
-    """Continuous density at x; zero outside [a, b].
-
-    The point mass at zero for c < 1 is not part of the density and is
-    reported separately (MPLaw.atom), so density(0, c) is 0.
-    """
-    law = MPLaw(c)
-    x = float(x)
-    if x <= law.a or x >= law.b:
-        return 0.0
-    return math.sqrt((law.b - x) * (x - law.a)) / (2.0 * math.pi * x)
-
-
 @lru_cache(maxsize=None)
 def _gl_nodes() -> tuple[np.ndarray, np.ndarray]:
     """The 96-point Gauss-Legendre rule on [-1, 1], for every integral of the law."""
@@ -84,13 +71,13 @@ def _theta_of_x(law: MPLaw, x: np.ndarray) -> np.ndarray:
     return np.arcsin(np.sqrt(frac))
 
 
-def _segment_masses(law: MPLaw, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """Integral of the density over each theta segment [t0_i, t1_i]."""
+def _segment_masses(law: MPLaw, t0: np.ndarray, t1: np.ndarray, power: int = 0) -> np.ndarray:
+    """Integral of x^power times the density over each theta segment [t0_i, t1_i]."""
     nodes, weights = _gl_nodes()
     mid = (t0 + t1) / 2.0
     half = (t1 - t0) / 2.0
     theta = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = _integrand_theta(law, theta)
+    vals = _integrand_theta(law, theta, power)
     return (vals @ weights) * half
 
 
@@ -108,17 +95,30 @@ def continuous_cdf_sorted(xs: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
-def cdf(x: float, c: float) -> float:
-    """Distribution function at one point, atom at zero included.
+def _cdf_sorted(xs: np.ndarray, c: float) -> np.ndarray:
+    """Distribution function at an ascending grid, atom at zero included:
+    right-continuous, so F(0) = 1 - c for c < 1, and capped at 1."""
+    return np.minimum(1.0, continuous_cdf_sorted(xs, c) + MPLaw(c).atom * (xs >= 0.0))
 
-    A scalar view of continuous_cdf_sorted. Right-continuous:
-    cdf(0, c) = 1 - c for c < 1.
-    """
-    x = float(x)
-    if x < 0.0:
-        return 0.0
-    cont = float(continuous_cdf_sorted(np.array([x]), c)[0])
-    return min(1.0, MPLaw(c).atom + cont)
+
+def _density(xs: np.ndarray, c: float) -> np.ndarray:
+    """Continuous density at each x, zero outside the open support (a, b)."""
+    law = MPLaw(c)
+    out = np.zeros_like(xs)
+    inside = (xs > law.a) & (xs < law.b)
+    x = xs[inside]
+    out[inside] = np.sqrt((law.b - x) * (x - law.a)) / (2.0 * math.pi * x)
+    return out
+
+
+def density(x: float, c: float) -> float:
+    """Continuous density at x; the atom (MPLaw.atom) is not part of it."""
+    return float(_density(np.array([x], dtype=float), c)[0])
+
+
+def cdf(x: float, c: float) -> float:
+    """Right-continuous distribution function at one point, atom included."""
+    return float(_cdf_sorted(np.array([x], dtype=float), c)[0])
 
 
 def quadrature_moment(p: int, c: float) -> float:
@@ -128,12 +128,7 @@ def quadrature_moment(p: int, c: float) -> float:
     continuous mass min(1, c), a handy normalization self-check.
     """
     assert p >= 0
-    law = MPLaw(c)
-    nodes, weights = _gl_nodes()
-    half = math.pi / 4.0
-    theta = half + half * nodes
-    vals = _integrand_theta(law, theta, power=p)
-    return float(vals @ weights * half)
+    return float(_segment_masses(MPLaw(c), np.zeros(1), np.full(1, math.pi / 2.0), p)[0])
 
 
 def ks_distance(sample, c: float) -> float:
@@ -169,11 +164,6 @@ def ks_distance(sample, c: float) -> float:
 
 def law_table_csv(c: float, xs) -> str:
     """CSV with columns x, pdf, cdf over an ascending grid."""
-    law = MPLaw(c)
     xs = np.asarray(sorted(float(v) for v in xs))
-    cont = continuous_cdf_sorted(xs, c)
-    lines = ["x,pdf,cdf"]
-    for x, fc in zip(xs, cont):
-        f = fc + law.atom * (x >= 0.0)
-        lines.append(f"{float(x)!r},{density(x, c)!r},{float(min(1.0, f))!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(xs.tolist(), _density(xs, c).tolist(), _cdf_sorted(xs, c).tolist())
+    return "\n".join(["x,pdf,cdf"] + [f"{x!r},{pdf!r},{f!r}" for x, pdf, f in rows]) + "\n"

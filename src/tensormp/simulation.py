@@ -149,6 +149,14 @@ def gram_matrix(vecs: np.ndarray) -> np.ndarray:
     return G
 
 
+def _weights(tau, m: int) -> np.ndarray:
+    """tau as a float array, refused unless it holds exactly m weights."""
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape != (m,):
+        raise ValueError(f"tau length {tau.shape} does not match m={m}")
+    return tau
+
+
 def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
     """Normalized traces (1/n^k) Tr M^p for p = 1..P by matrix powers.
 
@@ -160,10 +168,7 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
     an imaginary residue beyond tolerance raises NumericalError.
     """
     assert P >= 1
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (G.shape[0],):
-        raise ValueError(f"tau length {tau.shape} does not match m={G.shape[0]}")
-    B = tau[:, None] * G
+    B = _weights(tau, G.shape[0])[:, None] * G
     half = (P + 1) // 2
     powers = [B]
     for _ in range(2, half + 1):
@@ -375,10 +380,8 @@ def esd(
     eigenvalue sum against sum_a tau_a G[a, a]; the fold and the moments
     are those of ``_spectrum_sample``.
     """
-    tau = np.asarray(tau, dtype=float)
     m = G.shape[0]
-    if tau.shape != (m,):
-        raise ValueError(f"tau length {tau.shape} does not match m={m}")
+    tau = _weights(tau, m)
     root = np.sqrt(np.abs(tau))
     H = np.multiply(G, root[:, None], order="C")
     H *= root  # H[a, b] = root_a G[a, b] root_b
@@ -429,10 +432,7 @@ def tensor_esd(
     diagonal computed without G; the fold and the moments are those of
     ``_spectrum_sample``.
     """
-    tau = np.asarray(tau, dtype=float)
-    m = vecs.shape[0]
-    if tau.shape != (m,):
-        raise ValueError(f"tau length {tau.shape} does not match m={m}")
+    tau = _weights(tau, vecs.shape[0])
     Y = tensor_vectors(vecs)
     nk = Y.shape[0]
     W = Y * tau
@@ -490,7 +490,10 @@ class SimulationReport:
     outcomes: list[TrialOutcome]
     moment_means: list[float]
     moment_ses: list[float]
-    ks_values: list[float]
+
+    @property
+    def ks_values(self) -> list[float]:
+        return [o.ks for o in self.outcomes]
 
     @property
     def mean_ks(self) -> float:
@@ -581,20 +584,12 @@ def run_trials(
         scaled = replace(sample, nonzero_eigenvalues=sample.nonzero_eigenvalues / ks_scale)
         return TrialOutcome(t, sample, mplaw.ks_distance(scaled, c_ref))
 
-    with _ONE_BLAS_THREAD:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, range(trials)))
-        else:
-            outcomes = [one(t) for t in range(trials)]
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
+        outcomes = list(pool.map(one, range(trials)))
 
     mat = np.array([o.sample.trace_moments for o in outcomes])  # trials x P
-    means = [float(v) for v in mat.mean(axis=0)]
-    if trials > 1:
-        ses = [float(v) for v in mat.std(axis=0, ddof=1) / math.sqrt(trials)]
-    else:
-        ses = [0.0] * P
-    return SimulationReport(outcomes, means, ses, [o.ks for o in outcomes])
+    ses = mat.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(P)
+    return SimulationReport(outcomes, mat.mean(axis=0).tolist(), ses.tolist())
 
 
 def histogram_rows(samples, bins: int = 60) -> list[tuple[float, float, float]]:

@@ -135,6 +135,22 @@ def test_exact_oracle_roots_of_unity():
     assert got == pytest.approx(4.375, abs=1e-14)
 
 
+def test_exact_oracle_pinned_past_p6():
+    # recorded with the Bell(s) set-partition tau factor; the degree recursion
+    # must reproduce them float for float
+    tau = TauModel(coefficients=tuple(0.5 + j / 32 for j in range(32)))
+    got = [t.exact_mean_trace_moment(4, 3, 32, p, tau, t.rademacher_rule()) for p in (7, 8)]
+    assert got == [54.453285093466995, 158.25214533556672]
+
+
+def test_tau_factor_equals_injection_enumeration_claim():
+    # the claim's cap is 6; its check runs at p = 7 here
+    assert next(iter(CLAIMS["tau factor equals injection enumeration"].check(7)), None) is None
+    taus = (0.5, 1.25, -2.0, 3.0)
+    assert claims.injection_sum_by_enumeration((1, 1, 1, 1, 1), taus) == 0
+    assert claims.injection_sum_by_enumeration((2,), taus) == Fraction(237, 16)
+
+
 def test_exact_oracle_requires_coefficients():
     with pytest.raises(ValueError):
         t.exact_mean_trace_moment(2, 1, 2, 2, TauModel(moments=(1.0, 1.0)), t.rademacher_rule())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,7 @@ def test_law_parameters():
 def test_density_values():
     # at c = 1 the density at x = 2 is 1/(2 pi)
     assert t.density(2.0, 1.0) == pytest.approx(1 / (2 * math.pi), abs=1e-15)
+    assert t.density(2, 1.0) == t.density(2.0, 1.0) and t.cdf(2, 1.0) == t.cdf(2.0, 1.0)
     law = MPLaw(0.5)
     assert t.density(law.a - 1e-9, 0.5) == 0.0
     assert t.density(law.b + 1e-9, 0.5) == 0.0
@@ -150,3 +152,22 @@ def test_law_table_csv_contains_atom_row():
     assert float(first[2]) == pytest.approx(0.75, abs=1e-10)
     last = lines[-1].split(",")
     assert float(last[2]) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("c", [1e-8, 0.25, 1.0, 4.0, 1e8])
+def test_law_table_rows_equal_scalar_density_and_cdf(c):
+    # one vectorised density and CDF serve the table and the scalar calls;
+    # the square root is taken inside the support only, so nothing warns.
+    # The table's CDF sums quadrature segments along the grid, the scalar
+    # one integrates from the lower edge, so they agree to rounding only.
+    law = MPLaw(c)
+    xs = np.unique(np.concatenate([np.linspace(-1.0, 1.1 * law.b, 41), [0.0, law.a, law.b]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = np.array([line.split(",") for line in law_table_csv(c, xs).splitlines()[1:]])
+        pdf = [t.density(x, c) for x in xs.tolist()]
+        cdf = [t.cdf(x, c) for x in xs.tolist()]
+    assert rows[:, 0].tolist() == [repr(x) for x in xs.tolist()]
+    assert rows[:, 1].tolist() == [repr(v) for v in pdf]
+    assert rows[:, 2].astype(float) == pytest.approx(cdf, rel=0, abs=1e-13)
+    assert rows[-1, 2] == "1.0" and rows[0, 2] == "0.0"

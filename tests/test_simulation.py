@@ -227,12 +227,25 @@ def test_run_trials_single_trial_se_is_zero():
     assert r.moment_ses == [0.0, 0.0]
 
 
+def test_every_solver_refuses_a_wrong_weight_count():
+    vecs = simulation.sample_base_vectors(2, 2, 4, t.PHASE, seed=0)
+    G = simulation.gram_matrix(vecs)
+    calls = (
+        lambda tau: simulation.esd(G, tau, 4),
+        lambda tau: simulation.tensor_esd(vecs, tau),
+        lambda tau: simulation.trace_moments(G, tau, 2, 4),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"tau length \(3,\) does not match m=4"):
+            call((1.0, 1.0, 1.0))
+
+
 def test_report_json_has_no_clock_fields():
     r = t.run_trials(3, 2, 4, t.PHASE, (1.0,) * 4, 2, 2, 5)
     payload = r.to_json_dict()
     flat = json.dumps(payload)
     assert "runtime" not in flat and "time" not in flat
-    assert len(payload["ks"]["per_trial"]) == 2
+    assert payload["ks"]["per_trial"] == r.ks_values == [o.ks for o in r.outcomes]
     assert [row["p"] for row in payload["moments"]] == [1, 2]
 
 
