@@ -259,8 +259,10 @@ def cmd_simulate(args) -> int:
     tau, tau_label = _parse_tau(args.tau, m)
     if tau.coefficients is None:
         raise UsageError("simulation needs explicit tau coefficients, not moments")
+    dist = simulation.EntryDistribution.parse(args.dist)
     concurrent = min(args.threads, args.trials)
-    need = simulation.estimate_gram_bytes(m, nk, min(tau.coefficients) < 0) * concurrent
+    signed = min(tau.coefficients) < 0
+    need = simulation.estimate_gram_bytes(m, nk, signed, real=dist.kind == "rademacher") * concurrent
     if need > args.mem_limit:
         raise UsageError(
             f"estimated working set {need / 1e9:.2f} GB ({concurrent} concurrent trials at "
@@ -270,7 +272,6 @@ def cmd_simulate(args) -> int:
     if simulation.constant_weight(coeffs) is None:
         print("warning: KS is measured against the tau = 1 law, which is not this run's limit",
               file=sys.stderr)
-    dist = simulation.EntryDistribution.parse(args.dist)
     if args.dense_check and nk > 64:
         raise UsageError(f"--dense-check limited to n^k <= 64, got {nk}")
     config = {
@@ -356,6 +357,14 @@ def cmd_mplaw(args) -> int:
 
 # -------------------------------------------------------------- arg parser
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS
+    reports one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tensormp",
@@ -399,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--threads",
         type=int,
-        default=os.cpu_count() or 1,
-        help="trial worker threads, one core each with numpy's OpenBLAS (default: cpu count; results do not depend on it)",
+        default=_usable_cpus(),
+        help="trial worker threads, one core each with numpy's OpenBLAS (default: usable CPUs; results do not depend on it)",
     )
     sp.add_argument("--bins", type=int, default=60, help="histogram bins (default 60)")
     sp.add_argument("--dense-check", action="store_true", help="compare against the n^k-dimensional path (n^k <= 64)")

@@ -17,16 +17,18 @@ integer. Rademacher entries are real, so their trials run in real
 arithmetic on either side.
 
 Eigenvalues come from LAPACK's two-stage tridiagonal reduction
-(?heevd_2stage) in the OpenBLAS that numpy ships, and ``run_trials``
-holds that OpenBLAS at one thread for its whole trial loop, so the
-trial pool supplies the parallelism. Without that library (MKL,
-Accelerate, an older wheel) both fall back to ``numpy.linalg.eigvalsh``
-at the process's BLAS thread count. The solve overwrites its matrix:
-each trial builds the Hermitian matrix it solves and hands it over, so
-only the public ``hermitian_eigenvalues`` copies. A tau >= 0 Gram-side
-trial holds two m x m matrices, G and the H solved in place; G is built
-a strip of rows at a time, and H is checked for Hermiticity a tile at a
-time.
+(?heevd_2stage) in the OpenBLAS that numpy ships; the signed Gram-side
+factor H = F F^* comes from the same library's ?heevd, which writes the
+eigenvectors over H. ``run_trials`` holds that OpenBLAS at one thread
+for its whole trial loop, so the trial pool supplies the parallelism.
+Without that library (MKL, Accelerate, an older wheel) the solves fall
+back to ``numpy.linalg.eigvalsh`` and ``eigh`` at the process's BLAS
+thread count. Every solve overwrites its matrix: each trial builds the
+Hermitian matrix it solves and hands it over, so only the public
+``hermitian_eigenvalues`` and ``esd`` copy their argument. A Gram-side
+trial scales its G into H in place, so for tau >= 0 it holds one m x m
+matrix; G is built a strip of rows at a time, and H is checked for
+Hermiticity a tile at a time.
 
 Reproducibility: random streams come from numpy's counter-based Philox
 generator keyed by SeedSequence((seed, trial)), so any trial can be
@@ -188,13 +190,16 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
 
 _LAPACK_COL_MAJOR = 102
 
-_OpenBLAS = namedtuple("_OpenBLAS", "get_num_threads set_num_threads zheevd_2stage dsyevd_2stage")
+_OpenBLAS = namedtuple(
+    "_OpenBLAS", "get_num_threads set_num_threads zheevd_2stage dsyevd_2stage zheevd dsyevd"
+)
 
 
 @functools.cache
 def _openblas() -> _OpenBLAS | None:
-    """The ILP64 thread-count and two-stage eigenvalue entry points of the
-    OpenBLAS that numpy ships, or None when any of them is missing.
+    """The ILP64 thread-count, two-stage eigenvalue and divide-and-conquer
+    eigenvector entry points of the OpenBLAS that numpy ships, or None
+    when any of them is missing.
 
     The library is globbed from numpy's wheel directories (numpy.libs/ on
     Linux, numpy/.dylibs/ on macOS), so it is the one numpy.linalg already
@@ -216,12 +221,14 @@ def _openblas() -> _OpenBLAS | None:
                 lib.scipy_openblas_set_num_threads64_,
                 lib.scipy_LAPACKE_zheevd_2stage64_,
                 lib.scipy_LAPACKE_dsyevd_2stage64_,
+                lib.scipy_LAPACKE_zheevd64_,
+                lib.scipy_LAPACKE_dsyevd64_,
             )
         except (OSError, AttributeError):
             continue
         found.get_num_threads.argtypes, found.get_num_threads.restype = [], ctypes.c_int
         found.set_num_threads.argtypes, found.set_num_threads.restype = [ctypes.c_int], None
-        for solve in (found.zheevd_2stage, found.dsyevd_2stage):
+        for solve in found[2:]:
             # (layout, jobz, uplo, n, a, lda, w); lapack_int is int64 in the 64_ ABI
             solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
                               ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
@@ -292,15 +299,43 @@ def _eigenvalues_in_place(A: np.ndarray) -> np.ndarray:
     blas = _openblas()
     if blas is None:
         return np.linalg.eigvalsh(A)
+    return _lapack_in_place(A, blas.zheevd_2stage, blas.dsyevd_2stage, b"N")[0]
+
+
+def _eigenvectors_in_place(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) for a Hermitian A that the caller gives up: ascending
+    eigenvalues w, and V whose row j is the conjugate of a unit
+    eigenvector for w[j].
+
+    Checks Hermiticity as ``_eigenvalues_in_place`` does. The solver is
+    LAPACK's divide-and-conquer ?heevd (?syevd for real A), since the
+    two-stage reduction computes no vectors. It reads A column-major, as
+    conj(A), and writes the eigenvectors of conj(A) over it column by
+    column, so V is A's own buffer, each row one of them; its work arrays
+    add about two matrices of A's size. Without the bundled OpenBLAS it
+    is ``eigh``, which works on a copy.
+    """
+    _require_hermitian(A)
+    blas = _openblas()
+    if blas is None:
+        w, F = np.linalg.eigh(A)
+        return w, F.conj().T
+    return _lapack_in_place(A, blas.zheevd, blas.dsyevd, b"V")
+
+
+def _lapack_in_place(A: np.ndarray, complex_solve, real_solve, jobz: bytes):
+    """(w, A) after one LAPACKE eigensolve of A read column-major from its
+    lower triangle; A is first converted to C-contiguous float64 or
+    complex128 if it is not, so only then is the caller's array spared."""
     complex_ = np.iscomplexobj(A)
     A = np.require(A, np.complex128 if complex_ else np.float64, ["C", "A", "W"])
     n = A.shape[0]
     w = np.empty(n)
-    solve = blas.zheevd_2stage if complex_ else blas.dsyevd_2stage
-    info = solve(_LAPACK_COL_MAJOR, b"N", b"L", n, A.ctypes.data, max(n, 1), w.ctypes.data)
+    solve = complex_solve if complex_ else real_solve
+    info = solve(_LAPACK_COL_MAJOR, jobz, b"L", n, A.ctypes.data, max(n, 1), w.ctypes.data)
     if info != 0:
-        raise NumericalError(f"two-stage eigensolve failed with info={info}")
-    return w
+        raise NumericalError(f"Hermitian eigensolve failed with info={info}")
+    return w, A
 
 
 def _require_hermitian(H: np.ndarray) -> None:
@@ -370,35 +405,42 @@ def esd(
     seed: int | None = None,
     dims: tuple[int, int, int] | None = None,
 ) -> SpectrumSample:
-    """Empirical spectral distribution of one realization from its Gram matrix.
+    """Empirical spectral distribution of one realization from its Gram
+    matrix G, which is left untouched: ``_esd_in_place`` on a copy of G.
+    """
+    G = G.astype(np.result_type(G.dtype, np.float64))
+    return _esd_in_place(G, tau, nk_scale, P=P, seed=seed, dims=dims)
 
-    D G is similar to sign(tau) H with H = |D|^(1/2) G |D|^(1/2) Hermitian.
-    For tau >= 0 H is eigensolved; for mixed signs H = F F^*, F keeping
-    the eigenvectors of H's numerical rank r (eigenvalues above m eps max),
-    and the r x r Hermitian F^* sign(tau) F is. Either matrix is solved
-    in place, and G is left untouched. The trace identity checks the
-    eigenvalue sum against sum_a tau_a G[a, a]; the fold and the moments
-    are those of ``_spectrum_sample``.
+
+def _esd_in_place(G, tau, nk_scale, *, P, seed, dims) -> SpectrumSample:
+    """The ``esd`` of a Gram matrix G that the caller gives up.
+
+    D G is similar to sign(tau) H with H = |D|^(1/2) G |D|^(1/2) Hermitian,
+    and H is formed by scaling G in place, after the trace identity's
+    sum_a tau_a G[a, a] is read. For tau >= 0 H is eigensolved in place.
+    For mixed signs H = F F^*, F keeping the eigenvectors of H's numerical
+    rank r (eigenvalues above m eps max), which the solve writes over H,
+    and the r x r Hermitian F^* sign(tau) F is eigensolved. So a trial
+    holds one m x m matrix, plus the signed path's factor and product.
+    The fold and the moments are those of ``_spectrum_sample``.
     """
     m = G.shape[0]
     tau = _weights(tau, m)
     root = np.sqrt(np.abs(tau))
-    H = np.multiply(G, root[:, None], order="C")
-    H *= root  # H[a, b] = root_a G[a, b] root_b
     t_gram = float((tau * np.diag(G).real).sum())
+    G *= root[:, None]
+    G *= root  # now H[a, b] = root_a G[a, b] root_b
     if np.all(tau >= 0):
-        lam = _eigenvalues_in_place(H)
+        lam = _eigenvalues_in_place(G)
     else:
-        _require_hermitian(H)
-        w, F = np.linalg.eigh(H)  # ascending, so the kept columns trail
-        del H  # from here the trial holds G and F
+        w, V = _eigenvectors_in_place(G)  # ascending, so the kept rows trail
         r = np.count_nonzero(w > m * np.finfo(float).eps * w[-1])
-        F = F[:, m - r:]
-        F *= np.sqrt(w[m - r:])
-        S = np.sign(tau)[:, None] * F
-        np.conjugate(F, out=F)
-        # (sign(tau) F)^T conj(F) = conj(F^* sign(tau) F): Hermitian, same eigenvalues
-        lam = _eigenvalues_in_place(S.T @ F)
+        R = V[m - r:]
+        R *= np.sqrt(w[m - r:])[:, None]  # R = F^*
+        S = R * np.sign(tau)
+        np.conjugate(R, out=R)
+        # (F^* sign(tau)) (conj(F^*))^T = F^* sign(tau) F
+        lam = _eigenvalues_in_place(S @ R.T)
     return _spectrum_sample(lam, t_gram, nk_scale, P, seed, dims)
 
 
@@ -509,25 +551,24 @@ class SimulationReport:
         return {"moments": per_p, "ks": ks}
 
 
-def estimate_gram_bytes(m: int, nk: int, signed: bool) -> int:
-    """Peak working-set estimate for one trial, in bytes, counted in
-    complex matrices.
+def estimate_gram_bytes(m: int, nk: int, signed: bool, real: bool = False) -> int:
+    """Peak working-set estimate for one trial, in bytes: 16 per matrix
+    entry, or 8 when the entries are real (Rademacher).
 
-    Gram side (m <= n^k), in m x m matrices: for tau >= 0 a trial holds G
-    and the H that the solve overwrites; it counts three. Signed tau also
-    needs the eigenvector factor F: numpy's eigh holds G, H and F, plus
-    its private copy of H and LAPACK work arrays, about three more; the
-    product F^* sign(tau) F then holds G, F, sign(tau) F and the r x r
-    result. It counts seven. Under tracemalloc a phase trial at m = 2048
-    peaks at 2.0 (tau = 1) and 4.0 (alternating 1, -0.5) of them; eigh's
-    private arrays are outside its view, and the signed trial's resident
-    set peaks 6.2 of them above the interpreter. When m > n^k: the
-    n^k x m tensor matrix and its weighted copy, the n^k x n^k product,
-    and one n^k x n^k matrix of margin.
+    Gram side (m <= n^k), in m x m matrices: a trial scales G into H and
+    solves it in place, so for tau >= 0 it holds that one matrix; it
+    counts two, the buffer and one of margin. Signed tau: the eigenvector
+    solve writes F^* over H and its work arrays hold about two more; the
+    product F^* sign(tau) F then holds H's buffer, F^* sign(tau) and the
+    r x r result. It counts four. In a phase trial at m = 2048 the
+    resident set grows by 1.1 (tau = 1) and 3.2 (alternating 1, -0.5)
+    of them. When m > n^k: the n^k x m tensor matrix and its weighted
+    copy, the n^k x n^k product, and one n^k x n^k matrix of margin.
     """
+    itemsize = 8 if real else 16
     if m > nk:
-        return 16 * (2 * nk * nk + 2 * m * nk)
-    return 16 * (7 if signed else 3) * m * m
+        return itemsize * (2 * nk * nk + 2 * m * nk)
+    return itemsize * (4 if signed else 2) * m * m
 
 
 def constant_weight(tau_coeffs) -> float | None:
@@ -561,7 +602,8 @@ def run_trials(
     the bundled OpenBLAS at one thread, so ``threads`` pool workers use
     ``threads`` cores and the bytes do not depend on the BLAS setting.
     Each trial is solved on its smaller side: ``tensor_esd`` when
-    m > n^k, else ``esd`` on the Gram matrix.
+    m > n^k, else ``_esd_in_place`` on the Gram matrix, which it then
+    overwrites.
 
     KS is measured against the tau = 1 law at ratio c. When every tau
     equals one v > 0 the spectrum is v times a tau = 1 spectrum, so KS is
@@ -580,7 +622,7 @@ def run_trials(
         if m > nk:
             sample = tensor_esd(vecs, tau_coeffs, **opts)
         else:
-            sample = esd(gram_matrix(vecs), tau_coeffs, nk, **opts)
+            sample = _esd_in_place(gram_matrix(vecs), tau_coeffs, nk, **opts)
         scaled = replace(sample, nonzero_eigenvalues=sample.nonzero_eigenvalues / ks_scale)
         return TrialOutcome(t, sample, mplaw.ks_distance(scaled, c_ref))
 

@@ -18,7 +18,7 @@ import pytest
 
 import tensormp
 from tensormp import claims, simulation
-from tensormp.cli import main
+from tensormp.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -176,8 +176,8 @@ def test_simulate_memory_guard(capsys):
 
 
 def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
-    # one tau = 1 trial at m = 100 is estimated at 0.48 MB, two at once at 0.96 MB
-    argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 7e5".split()
+    # one tau = 1 trial at m = 100 is estimated at 0.32 MB, two at once at 0.64 MB
+    argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 5e5".split()
     monkeypatch.setattr(simulation, "run_trials", no_trial)
     rc, _, err = run(capsys, *argv, "--threads", "2")
     assert rc == 2 and "exceeds limit" in err
@@ -187,9 +187,9 @@ def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
 
 
 def test_memory_guard_reads_the_sign_of_tau(tmp_path, monkeypatch, capsys):
-    # one Gram-side trial at m = 100: 0.48 MB for tau = 1, 1.12 MB for signed tau
+    # one Gram-side trial at m = 100: 0.32 MB for tau = 1, 0.64 MB for signed tau
     (tmp_path / "tau.txt").write_text("1\n-0.5\n" * 50)
-    argv = "simulate --n 10 --k 2 --m 100 --trials 1 --mem-limit 7e5".split()
+    argv = "simulate --n 10 --k 2 --m 100 --trials 1 --mem-limit 5e5".split()
     monkeypatch.setattr(simulation, "run_trials", no_trial)
     rc, _, err = run(capsys, *argv, "--tau", f"file:{tmp_path / 'tau.txt'}")
     assert rc == 2 and "exceeds limit" in err
@@ -198,11 +198,32 @@ def test_memory_guard_reads_the_sign_of_tau(tmp_path, monkeypatch, capsys):
     assert rc == 0
 
 
+def test_memory_guard_sizes_real_entries_at_eight_bytes(monkeypatch, capsys):
+    # one tau = 1 trial at m = 100: 0.32 MB with complex entries, 0.16 MB with real ones
+    argv = "simulate --n 10 --k 2 --m 100 --trials 1 --mem-limit 2.5e5".split()
+    monkeypatch.setattr(simulation, "run_trials", no_trial)
+    rc, _, err = run(capsys, *argv, "--dist", "roots:4")
+    assert rc == 2 and "exceeds limit" in err
+    monkeypatch.undo()
+    rc, _, _ = run(capsys, *argv, "--dist", "rademacher")
+    assert rc == 0
+
+
 def test_memory_guard_sizes_the_solved_side(capsys):
     # m = 108 > n^k = 27: two 27 x 27 matrices plus two 27 x 108 ones, 0.12 MB;
-    # three 108 x 108 ones would be 0.56 MB
+    # two 108 x 108 ones would be 0.37 MB
     rc, _, err = run(capsys, *"simulate --n 3 --k 3 --c 4 --trials 1 --mem-limit 1.5e5".split())
     assert rc == 0 and "exceeds limit" not in err
+
+
+def test_threads_default_counts_usable_cpus(monkeypatch):
+    # a process pinned to 2 of 64 CPUs runs two trials at once, not 64
+    argv = "simulate --n 2 --k 1 --m 2".split()
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert build_parser().parse_args(argv).threads == 2
+    monkeypatch.delattr(os, "sched_getaffinity")  # where the OS reports no affinity
+    assert build_parser().parse_args(argv).threads == 64
 
 
 KS_WARNING = "warning: KS is measured against the tau = 1 law, which is not this run's limit"

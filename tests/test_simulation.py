@@ -261,19 +261,23 @@ def test_histogram_rows_mass_and_atom():
 
 
 def test_estimate_gram_bytes():
-    # the Gram side counts three m x m matrices for tau >= 0, seven for signed tau
-    assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 3
-    assert estimate_gram_bytes(2048, 4096, True) == 16 * 2048 * 2048 * 7
+    # the Gram side counts two m x m matrices for tau >= 0, four for signed tau
+    assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 2
+    assert estimate_gram_bytes(2048, 4096, True) == 16 * 2048 * 2048 * 4
     # m > n^k: two n^k x n^k matrices, the n^k x m tensor matrix and its weighted copy
     for signed in (False, True):
         assert estimate_gram_bytes(8192, 4096, signed) == 16 * (2 * 4096 * 4096 + 2 * 8192 * 4096)
+        # real (Rademacher) entries take 8 bytes, not 16, on either side
+        for m in (2048, 8192):
+            full = estimate_gram_bytes(m, 4096, signed)
+            assert estimate_gram_bytes(m, 4096, signed, real=True) * 2 == full
 
 
-def _eigh_workspace_bytes(m):
-    # numpy's eigh mallocs, out of tracemalloc's view, its copy of the
-    # m x m complex input and zheevd's work arrays at LAPACK's sizes:
+def _heevd_workspace_bytes(m):
+    # zheevd's work arrays with eigenvectors, malloced by LAPACKE out of
+    # tracemalloc's view at LAPACK's sizes:
     # m^2 + 2m complex, 1 + 5m + 2m^2 real, 3 + 5m integers
-    return 16 * m * m + 16 * (m * m + 2 * m) + 8 * (2 * m * m + 5 * m + 1) + 8 * (5 * m + 3)
+    return 16 * (m * m + 2 * m) + 8 * (2 * m * m + 5 * m + 1) + 8 * (5 * m + 3)
 
 
 @pytest.mark.parametrize("kind", ["tau=1", "signed", "tensor"])
@@ -282,30 +286,29 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
     nk = n**k
     tau = _signed(m) if kind == "signed" else np.ones(m)
     vecs = t.sample_base_vectors(n, k, m, t.PHASE, seed=1)
-    real_eigh, in_eigh = np.linalg.eigh, [0]
+    real_solve, in_solve = simulation._eigenvectors_in_place, [0]
 
-    def eigh(H):
-        out = real_eigh(H)
-        in_eigh[0] = tracemalloc.get_traced_memory()[0] + _eigh_workspace_bytes(len(H))
-        return out
+    def solve(A):
+        in_solve[0] = tracemalloc.get_traced_memory()[0] + _heevd_workspace_bytes(len(A))
+        return real_solve(A)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(simulation, "_eigenvectors_in_place", solve)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         if kind == "tensor":
             simulation.tensor_esd(vecs, tau)
-        else:
-            t.esd(t.gram_matrix(vecs), tau, nk)
-        peak = max(tracemalloc.get_traced_memory()[1], in_eigh[0]) - base
+        else:  # the trial path of run_trials
+            simulation._esd_in_place(t.gram_matrix(vecs), tau, nk, P=0, seed=None, dims=None)
+        peak = max(tracemalloc.get_traced_memory()[1], in_solve[0]) - base
     finally:
         tracemalloc.stop()
-    assert (in_eigh[0] > 0) == (kind == "signed")
+    assert (in_solve[0] > 0) == (kind == "signed")
     one = 16 * (m * nk if kind == "tensor" else m * m)  # the trial's largest matrix
     estimate = estimate_gram_bytes(m, nk, kind == "signed")
     assert estimate - one <= peak <= estimate
     if kind == "tau=1":
-        assert peak <= 2.5 * one  # G and H, which the solve overwrites
+        assert peak <= 1.5 * one  # G alone, scaled into H and solved in place
 
 
 def test_phase_rotation_invariance_of_gram_moments():
@@ -473,6 +476,25 @@ def test_run_trials_without_openblas_gives_the_same_spectra(monkeypatch, spec, n
         _assert_same_spectrum(a.sample.nonzero_eigenvalues, b.sample.nonzero_eigenvalues)
 
 
+@pytest.mark.parametrize("signed", [False, True], ids=["tau=1", "signed"])
+@pytest.mark.parametrize(
+    "spec, n, k, m", [("phase", 4, 4, 128), ("rademacher", 3, 5, 200), ("roots:3", 3, 4, 81)]
+)
+def test_run_trials_equals_public_esd_bitwise(spec, n, k, m, signed):
+    # run_trials solves each Gram matrix in place; public esd solves a copy
+    # of the regenerated one by the same operations, so every bit agrees
+    d = EntryDistribution.parse(spec)
+    tau = _signed(m) if signed else np.ones(m)
+    r = t.run_trials(n, k, m, d, tau, 6, 2, 13)
+    for o in r.outcomes:
+        G = t.gram_matrix(t.sample_base_vectors(n, k, m, d, 13, trial=o.trial))
+        with simulation._ONE_BLAS_THREAD:
+            want = t.esd(G, tau, n**k, P=6)
+        assert np.array_equal(o.sample.nonzero_eigenvalues, want.nonzero_eigenvalues)
+        assert o.sample.zero_multiplicity == want.zero_multiplicity
+        assert o.sample.trace_moments == want.trace_moments
+
+
 @pytest.mark.parametrize("fallback", [False, True])
 def test_solvers_leave_their_input_alone(monkeypatch, fallback):
     if fallback:
@@ -501,7 +523,7 @@ def test_run_trials_pins_and_restores_blas_threads(monkeypatch):
     blas = simulation._openblas()
     outer = blas.get_num_threads()
     seen = []
-    real_esd = simulation.esd
+    real_esd = simulation._esd_in_place
 
     def spy(*args, **kwargs):
         seen.append(blas.get_num_threads())
@@ -512,11 +534,11 @@ def test_run_trials_pins_and_restores_blas_threads(monkeypatch):
 
     try:
         blas.set_num_threads(2)
-        monkeypatch.setattr(simulation, "esd", spy)
+        monkeypatch.setattr(simulation, "_esd_in_place", spy)
         t.run_trials(3, 2, 4, t.PHASE, (1.0,) * 4, 2, 3, 5, threads=2)
         assert seen == [1, 1, 1]
         assert blas.get_num_threads() == 2
-        monkeypatch.setattr(simulation, "esd", fail)
+        monkeypatch.setattr(simulation, "_esd_in_place", fail)
         with pytest.raises(NumericalError):
             t.run_trials(3, 2, 4, t.PHASE, (1.0,) * 4, 2, 3, 5, threads=2)
         assert blas.get_num_threads() == 2
@@ -531,13 +553,13 @@ def test_concurrent_run_trials_share_one_pin(monkeypatch):
     blas = simulation._openblas()
     outer = blas.get_num_threads()
     seen = []
-    real_esd = simulation.esd
+    real_esd = simulation._esd_in_place
 
     def spy(*args, **kwargs):
         seen.append(blas.get_num_threads())
         return real_esd(*args, **kwargs)
 
-    monkeypatch.setattr(simulation, "esd", spy)
+    monkeypatch.setattr(simulation, "_esd_in_place", spy)
     interval = sys.getswitchinterval()
     workers = [
         threading.Thread(target=t.run_trials, args=(3, 2, 4, t.PHASE, (1.0,) * 4, 2, 6, s),
@@ -569,3 +591,7 @@ def test_bundled_openblas_exports_the_fast_path():
         pytest.skip("numpy is not built on scipy-openblas")
     blas = simulation._openblas()
     assert blas is not None and all(callable(f) for f in blas)
+    # the thread count, the two-stage eigenvalue solves and the eigenvector solves
+    assert blas._fields == (
+        "get_num_threads", "set_num_threads", "zheevd_2stage", "dsyevd_2stage", "zheevd", "dsyevd"
+    )
