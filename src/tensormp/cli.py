@@ -176,8 +176,16 @@ def _require(args, *names):
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
+def _m_of_c(c: float, n: int, k: int) -> int:
+    """The m that ratio c picks: round(c * n^k) in float, exact past float range."""
+    try:
+        return round(c * n**k)
+    except OverflowError:
+        return round(Fraction(c) * n**k)
+
+
 def _warn_ratio(c, n: int, k: int, m: int) -> None:
-    if c is not None and (want := round(Fraction(c) * n**k)) != m:
+    if c is not None and (want := _m_of_c(c, n, k)) != m:
         print(f"warning: m={m} differs from round(c*n^k)={want}", file=sys.stderr)
 
 
@@ -251,7 +259,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("give --m or --c")
     nk = args.n ** args.k
     if args.m is None:
-        m = _check("m", round(args.c * nk), "m=round(c*n^k)")
+        m = _check("m", _m_of_c(args.c, args.n, args.k), "m=round(c*n^k)")
     else:
         m = args.m
         _warn_ratio(args.c, args.n, args.k, m)

@@ -138,15 +138,15 @@ def ks_distance(sample, c: float) -> float:
     zero atom is weighted analytically, never materialized. The supremum
     of |empirical - law| over jump points is exact for a step empirical
     CDF against the continuous-plus-atom law: both one-sided limits are
-    checked at every jump.
+    checked at every jump. The right limit is the capped distribution
+    function that ``cdf`` and the law table read; the left limit is that
+    less the atom at zero.
     """
     lam = np.asarray(sample.nonzero_eigenvalues, dtype=float)
     zero_mult = int(sample.zero_multiplicity)
     total = zero_mult + lam.size
     if total == 0:
         raise ValueError("empty sample")
-    law = MPLaw(c)
-
     pts = np.append(lam, 0.0)
     mass = np.append(np.full(lam.size, 1.0 / total), zero_mult / total)
     idx = np.argsort(pts, kind="stable")
@@ -154,9 +154,8 @@ def ks_distance(sample, c: float) -> float:
     cum_hi = np.cumsum(mass)
     cum_lo = cum_hi - mass
 
-    cont = continuous_cdf_sorted(pts, c)
-    f_right = cont + law.atom * (pts >= 0.0)
-    f_left = cont + law.atom * (pts > 0.0)
+    f_right = _cdf_sorted(pts, c)
+    f_left = f_right - MPLaw(c).atom * (pts == 0.0)
     return float(
         max(np.max(np.abs(f_right - cum_hi)), np.max(np.abs(f_left - cum_lo)))
     )

@@ -16,19 +16,22 @@ keeps multiplicity n^k - (number of nonzero eigenvalues) as an exact
 integer. Rademacher entries are real, so their trials run in real
 arithmetic on either side.
 
-Eigenvalues come from LAPACK's two-stage tridiagonal reduction
-(?heevd_2stage) in the OpenBLAS that numpy ships; the signed Gram-side
-factor H = F F^* comes from the same library's ?heevd, which writes the
-eigenvectors over H. ``run_trials`` holds that OpenBLAS at one thread
-for its whole trial loop, so the trial pool supplies the parallelism.
-Without that library (MKL, Accelerate, an older wheel) the solves fall
-back to ``numpy.linalg.eigvalsh`` and ``eigh`` at the process's BLAS
-thread count. Every solve overwrites its matrix: each trial builds the
-Hermitian matrix it solves and hands it over, so only the public
-``hermitian_eigenvalues`` and ``esd`` copy their argument. A Gram-side
-trial scales its G into H in place, so for tau >= 0 it holds one m x m
-matrix; G is built a strip of rows at a time, and H is checked for
-Hermiticity a tile at a time.
+Every trial matrix goes through one in-place solve, ``_eigh_in_place``,
+and both products X diag(w) X^* (the tensor side's M and the signed Gram
+side's F^* sign(tau) F) come from ``_hermitian_form``. Eigenvalues come
+from LAPACK's two-stage tridiagonal reduction (?heevd_2stage) in the
+OpenBLAS that numpy ships; the signed Gram-side factor H = F F^* comes
+from the same library's ?heevd, which writes the eigenvectors over H.
+``run_trials`` holds that OpenBLAS at one thread for its whole trial
+loop, so the trial pool supplies the parallelism. Without that library
+(MKL, Accelerate, an older wheel) the solve falls back to
+``numpy.linalg.eigvalsh`` or ``eigh`` at the process's BLAS thread
+count. The solve overwrites its C-ordered float64 or complex128 matrix:
+each trial builds its Hermitian matrix that way and hands it over, so
+only the public ``hermitian_eigenvalues`` and ``esd`` copy, and convert,
+their argument. A Gram-side trial scales its G into H in place, so for
+tau >= 0 it holds one m x m matrix; G is built a strip of rows at a
+time, and H is checked for Hermiticity a tile at a time.
 
 Reproducibility: random streams come from numpy's counter-based Philox
 generator keyed by SeedSequence((seed, trial)), so any trial can be
@@ -277,65 +280,60 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, leaving H unchanged.
 
-    The solve overwrites its matrix, so this hands it a copy of H: the
-    one copy any solve makes. Trials hand their own matrices straight to
-    the same in-place solve, ``_eigenvalues_in_place``, and copy nothing.
+    The solve overwrites its matrix, so this hands it a C-ordered float64
+    or complex128 copy of H: the one copy and the one conversion any solve
+    makes. Trials hand the matrices they build straight to the same
+    in-place solve, ``_eigh_in_place``, and copy nothing.
     """
-    return _eigenvalues_in_place(np.array(H))
+    H = np.asarray(H)
+    return _eigh_in_place(np.array(H, dtype=np.result_type(H, np.float64), order="C"))[0]
 
 
-def _eigenvalues_in_place(A: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian A that the caller gives up.
+def _eigh_in_place(A: np.ndarray, vectors: bool = False):
+    """(w, V) for a Hermitian, C-ordered float64 or complex128 A that the
+    caller gives up: ascending eigenvalues w and, when ``vectors``, V whose
+    row j is the conjugate of a unit eigenvector for w[j]; else V is None.
 
     Verifies Hermiticity to a relative 1e-9 first; the backward-stable
     solver then guarantees residuals at the epsilon * norm level for each
-    eigenpair. The solver is LAPACK's two-stage reduction (dense to band
-    to tridiagonal), which overwrites A when A is C-contiguous float64 or
-    complex128 (any other A is converted first); read as column-major A
-    is A^T = conj(A), which has the same eigenvalues. Without the bundled
-    OpenBLAS it is ``eigvalsh``.
+    eigenpair. LAPACK reads A column-major from its lower triangle, as
+    A^T = conj(A), and overwrites it. Eigenvalues alone come from the
+    two-stage reduction (dense to band to tridiagonal), ?heevd_2stage or
+    ?syevd_2stage; it computes no vectors, so those come from
+    divide-and-conquer ?heevd (?syevd), which writes the eigenvectors of
+    conj(A) over A: V is A's own buffer, and the work arrays add about two
+    matrices of A's size. Without the bundled OpenBLAS the solve is
+    ``eigvalsh`` or ``eigh``, which work on a copy.
     """
     _require_hermitian(A)
     blas = _openblas()
     if blas is None:
-        return np.linalg.eigvalsh(A)
-    return _lapack_in_place(A, blas.zheevd_2stage, blas.dsyevd_2stage, b"N")[0]
-
-
-def _eigenvectors_in_place(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w, V) for a Hermitian A that the caller gives up: ascending
-    eigenvalues w, and V whose row j is the conjugate of a unit
-    eigenvector for w[j].
-
-    Checks Hermiticity as ``_eigenvalues_in_place`` does. The solver is
-    LAPACK's divide-and-conquer ?heevd (?syevd for real A), since the
-    two-stage reduction computes no vectors. It reads A column-major, as
-    conj(A), and writes the eigenvectors of conj(A) over it column by
-    column, so V is A's own buffer, each row one of them; its work arrays
-    add about two matrices of A's size. Without the bundled OpenBLAS it
-    is ``eigh``, which works on a copy.
-    """
-    _require_hermitian(A)
-    blas = _openblas()
-    if blas is None:
+        if not vectors:
+            return np.linalg.eigvalsh(A), None
         w, F = np.linalg.eigh(A)
         return w, F.conj().T
-    return _lapack_in_place(A, blas.zheevd, blas.dsyevd, b"V")
-
-
-def _lapack_in_place(A: np.ndarray, complex_solve, real_solve, jobz: bytes):
-    """(w, A) after one LAPACKE eigensolve of A read column-major from its
-    lower triangle; A is first converted to C-contiguous float64 or
-    complex128 if it is not, so only then is the caller's array spared."""
-    complex_ = np.iscomplexobj(A)
-    A = np.require(A, np.complex128 if complex_ else np.float64, ["C", "A", "W"])
+    assert A.dtype in (np.float64, np.complex128) and A.flags.c_contiguous and A.flags.writeable
+    if np.iscomplexobj(A):
+        solve = blas.zheevd if vectors else blas.zheevd_2stage
+    else:
+        solve = blas.dsyevd if vectors else blas.dsyevd_2stage
     n = A.shape[0]
     w = np.empty(n)
-    solve = complex_solve if complex_ else real_solve
+    jobz = b"V" if vectors else b"N"
     info = solve(_LAPACK_COL_MAJOR, jobz, b"L", n, A.ctypes.data, max(n, 1), w.ctypes.data)
     if info != 0:
         raise NumericalError(f"Hermitian eigensolve failed with info={info}")
-    return w, A
+    return w, (A if vectors else None)
+
+
+def _hermitian_form(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """conj(X diag(w) X^*) for real weights w: Hermitian, with the
+    eigenvalues of X diag(w) X^*. One weighted copy of X is conjugated in
+    place and times X^T, so X and that copy are the only operands held.
+    """
+    W = X * w
+    np.conjugate(W, out=W)
+    return W @ X.T
 
 
 def _require_hermitian(H: np.ndarray) -> None:
@@ -406,9 +404,10 @@ def esd(
     dims: tuple[int, int, int] | None = None,
 ) -> SpectrumSample:
     """Empirical spectral distribution of one realization from its Gram
-    matrix G, which is left untouched: ``_esd_in_place`` on a copy of G.
+    matrix G, which is left untouched: ``_esd_in_place`` on a C-ordered
+    float64 or complex128 copy of G.
     """
-    G = G.astype(np.result_type(G.dtype, np.float64))
+    G = np.array(G, dtype=np.result_type(G, np.float64), order="C")
     return _esd_in_place(G, tau, nk_scale, P=P, seed=seed, dims=dims)
 
 
@@ -431,16 +430,13 @@ def _esd_in_place(G, tau, nk_scale, *, P, seed, dims) -> SpectrumSample:
     G *= root[:, None]
     G *= root  # now H[a, b] = root_a G[a, b] root_b
     if np.all(tau >= 0):
-        lam = _eigenvalues_in_place(G)
+        lam = _eigh_in_place(G)[0]
     else:
-        w, V = _eigenvectors_in_place(G)  # ascending, so the kept rows trail
+        w, V = _eigh_in_place(G, vectors=True)  # ascending, so the kept rows trail
         r = np.count_nonzero(w > m * np.finfo(float).eps * w[-1])
         R = V[m - r:]
         R *= np.sqrt(w[m - r:])[:, None]  # R = F^*
-        S = R * np.sign(tau)
-        np.conjugate(R, out=R)
-        # (F^* sign(tau)) (conj(F^*))^T = F^* sign(tau) F
-        lam = _eigenvalues_in_place(S @ R.T)
+        lam = _eigh_in_place(_hermitian_form(R, np.sign(tau)))[0]
     return _spectrum_sample(lam, t_gram, nk_scale, P, seed, dims)
 
 
@@ -475,16 +471,10 @@ def tensor_esd(
     ``_spectrum_sample``.
     """
     tau = _weights(tau, vecs.shape[0])
-    Y = tensor_vectors(vecs)
-    nk = Y.shape[0]
-    W = Y * tau
-    np.conjugate(W, out=W)  # in place, so only two n^k x m arrays are held
-    # W Y^T = conj(M), which is Hermitian with the eigenvalues of M
-    M = W @ Y.T
-    del W, Y  # the solve holds only M
-    lam = _eigenvalues_in_place(M)
+    # Y is freed when the product is formed, so the solve holds only M
+    lam = _eigh_in_place(_hermitian_form(tensor_vectors(vecs), tau))[0]
     norms = np.prod(np.sum(np.abs(vecs) ** 2, axis=2), axis=1)
-    return _spectrum_sample(lam, float((tau * norms).sum()), nk, P, seed, dims)
+    return _spectrum_sample(lam, float((tau * norms).sum()), lam.size, P, seed, dims)
 
 
 def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, seed, dims) -> SpectrumSample:

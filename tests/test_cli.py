@@ -300,6 +300,16 @@ def test_simulate_writes_deterministic_outputs(tmp_path, capsys):
     assert len(lines) == 2 + 2 * 3  # 2 trials x p_max 3
 
 
+def test_m_from_c_is_one_rule(tmp_path, capsys):
+    # c * n^k = 0.7 * 5 rounds to 3.5 in float, which rounds to 4; in exact
+    # arithmetic it lies just below 3.5 and would round to 3
+    rc, _, err = run(capsys, *"simulate --n 5 --k 1 --m 4 --c 0.7 --trials 1".split())
+    assert rc == 0 and "warning: m=" not in err
+    rc, _, _ = run(capsys, *"simulate --n 5 --k 1 --c 0.7 --trials 1 --out".split(), str(tmp_path))
+    report = next(f for f in tmp_path.iterdir() if f.name.endswith(".json"))
+    assert rc == 0 and json.loads(report.read_text())["config"]["m"] == 4
+
+
 def test_simulate_different_seed_different_file_name(tmp_path, capsys):
     base = "simulate --n 3 --k 2 --m 4 --trials 1 --p-max 2".split()
     rc, _, _ = run(capsys, *base, "--seed", "1", "--out", str(tmp_path))

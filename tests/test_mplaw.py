@@ -132,6 +132,15 @@ def test_ks_pure_atom():
     assert ks == pytest.approx(0.25, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [0.25, 0.5])
+def test_ks_reads_the_capped_law_above_the_support(c):
+    # zeros carry the atom 1 - c and the rest sits at 1.5 b, where the law
+    # is exactly 1: the one gap is c, just below 1.5 b
+    nonzero = round(4 * c)
+    ks = t.ks_distance(_sample(np.full(nonzero, 1.5 * MPLaw(c).b), zeros=4 - nonzero), c)
+    assert ks == c
+
+
 def test_ks_detects_shift():
     c = 0.5
     law = MPLaw(c)

@@ -286,13 +286,14 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
     nk = n**k
     tau = _signed(m) if kind == "signed" else np.ones(m)
     vecs = t.sample_base_vectors(n, k, m, t.PHASE, seed=1)
-    real_solve, in_solve = simulation._eigenvectors_in_place, [0]
+    real_solve, in_solve = simulation._eigh_in_place, [0]
 
-    def solve(A):
-        in_solve[0] = tracemalloc.get_traced_memory()[0] + _heevd_workspace_bytes(len(A))
-        return real_solve(A)
+    def solve(A, vectors=False):
+        if vectors:
+            in_solve[0] = tracemalloc.get_traced_memory()[0] + _heevd_workspace_bytes(len(A))
+        return real_solve(A, vectors)
 
-    monkeypatch.setattr(simulation, "_eigenvectors_in_place", solve)
+    monkeypatch.setattr(simulation, "_eigh_in_place", solve)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -516,6 +517,54 @@ def test_solvers_leave_their_input_alone(monkeypatch, fallback):
         for tau in (np.ones(20), _signed(20)):
             simulation.tensor_esd(vecs, tau)
             assert np.array_equal(vecs, before)
+
+
+def _converted_inputs():
+    """(input, its C-ordered float64/complex128 copy) pairs of positive
+    semidefinite matrices in every layout and dtype the public copies take."""
+    rng = np.random.default_rng(8)
+    B = rng.integers(-3, 4, (6, 4))
+    Z = B + 1j * rng.integers(-3, 4, (6, 4))
+    ints, cplx = B @ B.T, Z @ Z.conj().T
+    for given in (ints, ints.astype(np.float32), np.asfortranarray(ints.astype(float)),
+                  cplx.astype(np.complex64), np.asfortranarray(cplx)):
+        yield given, np.array(given, dtype=np.result_type(given, np.float64), order="C")
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["openblas", "fallback"])
+def test_public_copies_convert_any_layout_and_dtype(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(simulation, "_openblas", lambda: None)
+    for given, copy in _converted_inputs():
+        before = given.copy(order="A")
+        assert np.array_equal(t.hermitian_eigenvalues(given), t.hermitian_eigenvalues(copy))
+        for tau in (np.ones(6), _signed(6)):
+            got, want = t.esd(given, tau, 6, P=3), t.esd(copy, tau, 6, P=3)
+            assert np.array_equal(got.nonzero_eigenvalues, want.nonzero_eigenvalues)
+            assert got.zero_multiplicity == want.zero_multiplicity
+            assert got.trace_moments == want.trace_moments
+        assert given.dtype == before.dtype and given.flags.f_contiguous == before.flags.f_contiguous
+        assert np.array_equal(given, before)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["openblas", "fallback"])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_eigh_in_place_rows_are_conjugate_unit_eigenvectors(monkeypatch, fallback, real):
+    if fallback:
+        monkeypatch.setattr(simulation, "_openblas", lambda: None)
+    for size in (1, 2, 7, 40):
+        A = _small_hermitian(size)
+        if real:
+            A = A.real.copy()
+        w, V = simulation._eigh_in_place(A.copy(), vectors=True)
+        values, none = simulation._eigh_in_place(A.copy())
+        assert none is None
+        _assert_same_spectrum(w, values)
+        norm = np.linalg.norm(A, 2)
+        for j in range(size):
+            v = V[j].conj()
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert np.linalg.norm(A @ v - w[j] * v) <= 1e-12 * norm
 
 
 @needs_openblas
