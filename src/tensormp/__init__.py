@@ -27,6 +27,9 @@ from .graphs import (
     paired_partners,
 )
 from .moments import (
+    PHASE,
+    RADEMACHER,
+    EntryDistribution,
     MixedMomentRule,
     TauModel,
     carleman_check,
@@ -49,9 +52,6 @@ from .sequences import (
     is_crossing,
 )
 from .simulation import (
-    PHASE,
-    RADEMACHER,
-    EntryDistribution,
     SimulationReport,
     SpectrumSample,
     esd,

@@ -349,14 +349,12 @@ def _law_mass(p_max, cs=(1e-8, 0.25, 1.0, 2.0, 1e8, 1e16, 1e30, 1e100, 1e300)):
 def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
     # a case is (entry law, tau coefficients, tensor legs k); n = 2, m = len(tau)
     for spec, taus, ks in cases:
-        dist = simulation.EntryDistribution.parse(spec)
-        q = 2 if dist.kind == "rademacher" else dist.q
-        alphabet = (1.0, -1.0) if q == 2 else tuple(np.exp(2j * np.pi * np.arange(q) / q))
+        dist = moments.EntryDistribution.parse(spec)
         tau, rule = moments.TauModel(coefficients=taus), dist.mixed_moment_rule()
         for k in ks:
             for p in range(1, p_max + 1):
                 exact = moments.exact_mean_trace_moment(2, k, len(taus), p, tau, rule)
-                brute = exhaustive_mean_trace(2, k, len(taus), p, taus, alphabet)
+                brute = exhaustive_mean_trace(2, k, len(taus), p, taus, dist.alphabet)
                 if abs(exact - brute) > 1e-12:
                     yield f"{spec} tau={taus} k={k} p={p} exact={exact!r} exhaustive={brute!r}"
 

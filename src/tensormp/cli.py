@@ -92,6 +92,13 @@ def _head(config: dict, text: str) -> str:
     return f"# config={json.dumps(config, sort_keys=True)}\n{text}"
 
 
+def _csv(config: dict, header: str, rows) -> str:
+    """A CSV table under the "# config=" line: the header, then one line per
+    row, each value as its repr and None as an empty cell."""
+    lines = (",".join("" if v is None else repr(v) for v in row) for row in rows)
+    return _head(config, "\n".join([header, *lines]) + "\n")
+
+
 def _outputs(args, config: dict, prefix: str, *suffixes: str):
     """Claims one run's output files before any work is done.
 
@@ -224,7 +231,7 @@ def cmd_moments(args) -> int:
     if args.m is not None:
         if tau.coefficients is None:
             raise UsageError("exact finite-size column needs explicit tau coefficients")
-        rule = simulation.EntryDistribution.parse(args.dist).mixed_moment_rule()
+        rule = moments.EntryDistribution.parse(args.dist).mixed_moment_rule()
         exact_fn = lambda p: moments.exact_mean_trace_moment(*dims, p, tau, rule)
         _warn_ratio(args.c, *dims)
     elif args.tau.startswith("const:"):
@@ -244,8 +251,9 @@ def cmd_moments(args) -> int:
     rows = []
     for p in range(1, args.p_max + 1):
         theory = moments.limiting_moment(p, args.c, tau)
-        rows.append((p, theory, exact_fn(p) if exact_fn is not None else None))
-    csv_text = _head(config, moments.moment_table_csv(rows))
+        value = exact_fn(p) if exact_fn is not None else None
+        rows.append((p, theory, value, None if value is None else abs(theory - value)))
+    csv_text = _csv(config, "p,theory,exact_or_mc,abs_error", rows)
     sys.stdout.write(csv_text)
     write(csv_text)
     return 0
@@ -267,7 +275,7 @@ def cmd_simulate(args) -> int:
     tau, tau_label = _parse_tau(args.tau, m)
     if tau.coefficients is None:
         raise UsageError("simulation needs explicit tau coefficients, not moments")
-    dist = simulation.EntryDistribution.parse(args.dist)
+    dist = moments.EntryDistribution.parse(args.dist)
     concurrent = min(args.threads, args.trials)
     signed = min(tau.coefficients) < 0
     need = simulation.estimate_gram_bytes(m, nk, signed, real=dist.kind == "rademacher") * concurrent
@@ -312,19 +320,18 @@ def cmd_simulate(args) -> int:
         for o in report.outcomes:
             vecs = simulation.sample_base_vectors(args.n, args.k, m, dist, args.seed, trial=o.trial)
             dense[o.trial] = claims.dense_check(o.sample, vecs, coeffs, args.p_max)
-    rows = simulation.histogram_rows([o.sample for o in report.outcomes], bins=args.bins)
-    hist = ["bin_left,bin_right,mass", *(f"{l!r},{r!r},{w!r}" for l, r, w in rows)]
-    mom = ["trial,p,value" + (",dense_value,abs_diff" if args.dense_check else "")]
+    hist = simulation.histogram_rows([o.sample for o in report.outcomes], bins=args.bins)
+    mom = []
     for o in report.outcomes:
         dvs = dense[o.trial][1] if args.dense_check else [None] * args.p_max
         for p, (v, dv) in enumerate(zip(o.sample.trace_moments, dvs), start=1):
-            mom.append(f"{o.trial},{p},{v!r}" + ("" if dv is None else f",{dv!r},{abs(v - dv)!r}"))
+            mom.append((o.trial, p, v) if dv is None else (o.trial, p, v, dv, abs(v - dv)))
     payload = {"config": config, **report.to_json_dict()}
     if args.dense_check:
         payload["dense_check"] = {"max_eigenvalue_deviation": max(d for d, _ in dense.values())}
     write(
-        _head(config, "\n".join(hist) + "\n"),
-        _head(config, "\n".join(mom) + "\n"),
+        _csv(config, "bin_left,bin_right,mass", hist),
+        _csv(config, "trial,p,value" + (",dense_value,abs_diff" if args.dense_check else ""), mom),
         json.dumps(payload, sort_keys=True, indent=2) + "\n",
     )
 

@@ -1,11 +1,11 @@
 """Limiting and exact finite-size trace moments of the random model.
 
-The model is a sum of m rank-one projectors built from k-fold tensor
-products of random unit-modulus vectors in dimension n, each weighted by
-a coefficient tau_alpha. Its normalized expected trace moments admit an
-exact combinatorial evaluation: a sum over canonical row sequences alpha
-of an injection-weighted tau factor times the k-th power of an inner
-factor, where the inner factor sums walk-graph expectations over all
+The model is a sum of m rank-one projectors weighted by coefficients
+tau_alpha, built from k-fold tensor products of vectors in dimension n
+with i.i.d. ``EntryDistribution`` entries. Its normalized expected trace
+moments admit an exact combinatorial evaluation: a sum over canonical
+row sequences alpha of an injection-weighted tau factor times the k-th
+power of an inner factor, which sums walk-graph expectations over all
 canonical column sequences. As m/n^k -> c only the non-crossing alpha
 survive, with a factor kappa_q = c m_q per block of size q: the
 moment-cumulant formula of the free Poisson law with free cumulants
@@ -94,21 +94,76 @@ class MixedMomentRule:
     mu: Callable[[int, int], int] = field(compare=False)
 
 
+@dataclass(frozen=True)
+class EntryDistribution:
+    """Unit-modulus entry law: uniform phase, Rademacher, or q-th roots. Its
+    label, its ``alphabet``, which the sampler indexes, and its
+    ``mixed_moment_rule`` for the moment oracle are stated here once."""
+
+    kind: str  # "phase" | "rademacher" | "roots"
+    q: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("phase", "rademacher", "roots"):
+            raise ValueError(f"unknown entry distribution {self.kind!r}")
+        if self.kind == "roots" and (self.q is None or self.q < 2):
+            raise ValueError("roots distribution needs q >= 2")
+        if self.kind != "roots" and self.q is not None:
+            raise ValueError(f"{self.kind} takes no q parameter")
+
+    @classmethod
+    def parse(cls, spec: str) -> "EntryDistribution":
+        """Parse 'phase', 'rademacher', or 'roots:q'."""
+        kind, sep, q = spec.partition(":")
+        return cls(kind, int(q) if sep else None)
+
+    @property
+    def label(self) -> str:
+        return f"roots:{self.q}" if self.kind == "roots" else self.kind
+
+    @property
+    def alphabet(self) -> np.ndarray | None:
+        """The equally likely entry values: [-1, 1] for Rademacher, exp(2 pi i j/q)
+        for j = 0..q-1, or None for the continuous uniform phase."""
+        if self.kind == "rademacher":
+            return np.array([-1.0, 1.0])
+        if self.kind == "roots":
+            return np.exp(2j * np.pi * np.arange(self.q) / self.q)
+        return None
+
+    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """I.i.d. entries of modulus exactly 1: float64 for Rademacher,
+        complex128 otherwise."""
+        if self.alphabet is None:
+            return np.exp(2j * np.pi * rng.random(shape))
+        return self.alphabet[rng.integers(0, len(self.alphabet), shape)]
+
+    def mixed_moment_rule(self) -> MixedMomentRule:
+        """mu(a, b) = E[xi^a conj(xi)^b]: 1 iff a = b for the phase, and for an
+        alphabet of q roots of unity 1 iff a = b mod q, else 0."""
+        if self.alphabet is None:
+            return MixedMomentRule(self.label, lambda a, b: int(a == b))
+        q = len(self.alphabet)
+        return MixedMomentRule(self.label, lambda a, b: int((a - b) % q == 0))
+
+
+PHASE = EntryDistribution("phase")
+RADEMACHER = EntryDistribution("rademacher")
+
+
 def uniform_phase_rule() -> MixedMomentRule:
     """xi uniform on the unit circle: mu(a,b) = 1 iff a = b."""
-    return MixedMomentRule("phase", lambda a, b: 1 if a == b else 0)
+    return PHASE.mixed_moment_rule()
 
 
 def rademacher_rule() -> MixedMomentRule:
     """xi uniform on {+1, -1}: mu(a,b) = 1 iff a + b is even."""
-    return MixedMomentRule("rademacher", lambda a, b: 1 if (a + b) % 2 == 0 else 0)
+    return RADEMACHER.mixed_moment_rule()
 
 
 def roots_of_unity_rule(q: int) -> MixedMomentRule:
     """xi uniform on the q-th roots of unity: mu(a,b) = 1 iff a = b mod q."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    return MixedMomentRule(f"roots:{q}", lambda a, b: 1 if (a - b) % q == 0 else 0)
+    return EntryDistribution("roots", q).mixed_moment_rule()
 
 
 def limiting_moment(p: int, c: float, tau: TauModel) -> float:
@@ -319,17 +374,3 @@ def exact_mean_trace_moment(
         total += size * tau_fac * inner**k
     return float(total / Fraction(n) ** k)
 
-
-def moment_table_csv(rows: Iterable[tuple[int, float, float | None]]) -> str:
-    """CSV with columns p, theory, exact_or_mc, abs_error.
-
-    ``rows`` yields (p, theory, value) with value None when no comparison
-    quantity is available.
-    """
-    lines = ["p,theory,exact_or_mc,abs_error"]
-    for p_, theory, value in rows:
-        if value is None:
-            lines.append(f"{p_},{theory!r},,")
-        else:
-            lines.append(f"{p_},{theory!r},{value!r},{abs(theory - value)!r}")
-    return "\n".join(lines) + "\n"

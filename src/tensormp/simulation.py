@@ -54,70 +54,12 @@ import numpy as np
 
 from . import mplaw
 from .errors import NumericalError
-from .moments import (
-    MixedMomentRule,
-    rademacher_rule,
-    roots_of_unity_rule,
-    uniform_phase_rule,
-)
+from .moments import EntryDistribution
 
 _IMAG_TOL = 1e-8
 ZERO_TOL = 1e-10  # relative to the largest |eigenvalue|; exact zeros land near 1e-15
 GRAM_STRIP = 128  # rows of G built per product in ``gram_matrix``
 HERMITIAN_TILE = 64  # block edge of the tiles ``_require_hermitian`` compares
-
-
-@dataclass(frozen=True)
-class EntryDistribution:
-    """Unit-modulus entry law: uniform phase, Rademacher, or q-th roots."""
-
-    kind: str  # "phase" | "rademacher" | "roots"
-    q: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("phase", "rademacher", "roots"):
-            raise ValueError(f"unknown entry distribution {self.kind!r}")
-        if self.kind == "roots":
-            if self.q is None or self.q < 2:
-                raise ValueError("roots distribution needs q >= 2")
-        elif self.q is not None:
-            raise ValueError(f"{self.kind} takes no q parameter")
-
-    @classmethod
-    def parse(cls, spec: str) -> "EntryDistribution":
-        """Parse 'phase', 'rademacher', or 'roots:q'."""
-        if spec == "phase":
-            return cls("phase")
-        if spec == "rademacher":
-            return cls("rademacher")
-        if spec.startswith("roots:"):
-            return cls("roots", int(spec.split(":", 1)[1]))
-        raise ValueError(f"unknown entry distribution {spec!r}")
-
-    @property
-    def label(self) -> str:
-        return f"roots:{self.q}" if self.kind == "roots" else self.kind
-
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """I.i.d. entries of modulus exactly 1: float64 for Rademacher,
-        complex128 otherwise."""
-        if self.kind == "phase":
-            return np.exp(2j * np.pi * rng.random(shape))
-        if self.kind == "rademacher":
-            return rng.integers(0, 2, shape) * 2.0 - 1.0
-        return np.exp(2j * np.pi * rng.integers(0, self.q, shape) / self.q)
-
-    def mixed_moment_rule(self) -> MixedMomentRule:
-        """The matching exact mixed-moment rule for the moment oracle."""
-        if self.kind == "phase":
-            return uniform_phase_rule()
-        if self.kind == "rademacher":
-            return rademacher_rule()
-        return roots_of_unity_rule(self.q)
-
-
-PHASE = EntryDistribution("phase")
-RADEMACHER = EntryDistribution("rademacher")
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -167,24 +109,17 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
 
     The cross-check for the eigenvalue power sums that ``esd`` reports:
     it reaches the same numbers without an eigensolve. Tr M^p equals
-    Tr (D_tau G)^p. Powers are built up to ceil(P/2) and combined
-    pairwise with Tr(XY) = sum(X * Y^T), halving the matrix
-    multiplications. The model is Hermitian, so every trace must be real;
-    an imaginary residue beyond tolerance raises NumericalError.
+    Tr B^p for B = D_tau G, and B^p is formed as B^(p-1) B. The model is
+    Hermitian, so every trace must be real; an imaginary residue beyond
+    tolerance raises NumericalError.
     """
     assert P >= 1
     B = _weights(tau, G.shape[0])[:, None] * G
-    half = (P + 1) // 2
-    powers = [B]
-    for _ in range(2, half + 1):
-        powers.append(powers[-1] @ B)
-    out = []
+    power, out = B, []
     for p in range(1, P + 1):
-        if p == 1:
-            tr = B.trace()
-        else:
-            lo = p // 2
-            tr = np.sum(powers[lo - 1] * powers[p - lo - 1].T)
+        if p > 1:
+            power = power @ B
+        tr = power.trace()
         if abs(tr.imag) > _IMAG_TOL * max(1.0, abs(tr.real)):
             raise NumericalError(f"Tr M^{p} has imaginary residue {tr.imag:.3e}")
         out.append(float(tr.real) / float(nk_scale))
@@ -386,7 +321,7 @@ class SpectrumSample:
     nonzero_eigenvalues: np.ndarray
     zero_multiplicity: int
     trace_moments: list[float] = field(default_factory=list)
-    seed: int | None = None
+    seed: int | None = None  # seed and dims: filled by the public ``esd`` only
     dims: tuple[int, int, int] | None = None  # (n, k, m)
 
     @property
@@ -408,10 +343,10 @@ def esd(
     float64 or complex128 copy of G.
     """
     G = np.array(G, dtype=np.result_type(G, np.float64), order="C")
-    return _esd_in_place(G, tau, nk_scale, P=P, seed=seed, dims=dims)
+    return replace(_esd_in_place(G, tau, nk_scale, P=P), seed=seed, dims=dims)
 
 
-def _esd_in_place(G, tau, nk_scale, *, P, seed, dims) -> SpectrumSample:
+def _esd_in_place(G, tau, nk_scale, *, P) -> SpectrumSample:
     """The ``esd`` of a Gram matrix G that the caller gives up.
 
     D G is similar to sign(tau) H with H = |D|^(1/2) G |D|^(1/2) Hermitian,
@@ -437,7 +372,7 @@ def _esd_in_place(G, tau, nk_scale, *, P, seed, dims) -> SpectrumSample:
         R = V[m - r:]
         R *= np.sqrt(w[m - r:])[:, None]  # R = F^*
         lam = _eigh_in_place(_hermitian_form(R, np.sign(tau)))[0]
-    return _spectrum_sample(lam, t_gram, nk_scale, P, seed, dims)
+    return _spectrum_sample(lam, t_gram, nk_scale, P)
 
 
 def tensor_vectors(vecs: np.ndarray) -> np.ndarray:
@@ -453,14 +388,7 @@ def tensor_vectors(vecs: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-def tensor_esd(
-    vecs: np.ndarray,
-    tau,
-    *,
-    P: int = 0,
-    seed: int | None = None,
-    dims: tuple[int, int, int] | None = None,
-) -> SpectrumSample:
+def tensor_esd(vecs: np.ndarray, tau, *, P: int = 0) -> SpectrumSample:
     """Empirical spectral distribution of one realization from its
     n^k x n^k model matrix M = Y D_tau Y^*, the smaller side when m > n^k.
 
@@ -474,10 +402,10 @@ def tensor_esd(
     # Y is freed when the product is formed, so the solve holds only M
     lam = _eigh_in_place(_hermitian_form(tensor_vectors(vecs), tau))[0]
     norms = np.prod(np.sum(np.abs(vecs) ** 2, axis=2), axis=1)
-    return _spectrum_sample(lam, float((tau * norms).sum()), lam.size, P, seed, dims)
+    return _spectrum_sample(lam, float((tau * norms).sum()), lam.size, P)
 
 
-def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, seed, dims) -> SpectrumSample:
+def _spectrum_sample(lam, t_gram: float, nk_scale: int, P: int) -> SpectrumSample:
     """The sample of one realization from its eigenvalues lam on either side.
 
     The eigenvalue sum must match the weighted Gram trace t_gram. The
@@ -503,8 +431,6 @@ def _spectrum_sample(lam, t_gram: float, nk_scale: int, P, seed, dims) -> Spectr
         nonzero_eigenvalues=np.asarray(nonzero, dtype=float),
         zero_multiplicity=int(nk_scale) - int(nonzero.size),
         trace_moments=moments,
-        seed=seed,
-        dims=dims,
     )
 
 
@@ -605,14 +531,13 @@ def run_trials(
     tau_coeffs = np.asarray(tau_coeffs, dtype=float)
     c_ref = c if c is not None else m / nk
     ks_scale = constant_weight(tau_coeffs) or 1.0
-    opts = dict(P=P, seed=seed, dims=(n, k, m))
 
     def one(t: int) -> TrialOutcome:
         vecs = sample_base_vectors(n, k, m, dist, seed, trial=t)
         if m > nk:
-            sample = tensor_esd(vecs, tau_coeffs, **opts)
+            sample = tensor_esd(vecs, tau_coeffs, P=P)
         else:
-            sample = _esd_in_place(gram_matrix(vecs), tau_coeffs, nk, **opts)
+            sample = _esd_in_place(gram_matrix(vecs), tau_coeffs, nk, P=P)
         scaled = replace(sample, nonzero_eigenvalues=sample.nonzero_eigenvalues / ks_scale)
         return TrialOutcome(t, sample, mplaw.ks_distance(scaled, c_ref))
 

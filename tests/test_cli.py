@@ -113,6 +113,16 @@ def test_moments_golden_table(capsys):
     assert lines[5] == "4,14.0,14.0,0.0"
 
 
+def test_moments_without_comparison_leaves_empty_cells(tmp_path, capsys):
+    # a file: tau without --m has no exact or Monte Carlo column
+    tfile = tmp_path / "tau.txt"
+    tfile.write_text("1.0\n3.0\n")
+    rc, out, _ = run(capsys, *"moments --c 1 --p-max 2 --tau".split(), f"file:{tfile}")
+    assert rc == 0
+    # c = 1, tau in {1, 3}: m_1 = 2, m_2 = 5, so the limits are 2 and 5 + 2^2
+    assert out.strip().split("\n")[1:] == ["p,theory,exact_or_mc,abs_error", "1,2.0,,", "2,9.0,,"]
+
+
 def test_moments_with_exact_column(capsys):
     rc, out, _ = run(
         capsys,

@@ -10,6 +10,7 @@ the golden values below pin the expansion itself.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -249,11 +250,30 @@ def test_inner_factor_rotation_and_reversal_invariance(alpha, shift, n, rule):
         assert t.inner_factor(alpha[::-1], n, rule) == base
 
 
-def test_moment_table_csv():
-    from tensormp.moments import moment_table_csv
+@pytest.mark.parametrize("spec", ["rademacher", *(f"roots:{q}" for q in range(2, 7))])
+def test_alphabet_averages_are_the_rule(spec):
+    # ties the values the sampler draws to the mu the exact oracle reads
+    dist = moments.EntryDistribution.parse(spec)
+    x = dist.alphabet
+    rule = dist.mixed_moment_rule()
+    for a in range(9):
+        for b in range(9):
+            assert abs(np.mean(x**a * np.conj(x) ** b) - rule.mu(a, b)) <= 1e-12
 
-    text = moment_table_csv([(1, 1.0, 1.0), (2, 2.0, None)])
-    lines = text.strip().split("\n")
-    assert lines[0] == "p,theory,exact_or_mc,abs_error"
-    assert lines[1] == "1,1.0,1.0,0.0"
-    assert lines[2] == "2,2.0,,"
+
+def test_rule_factories_are_the_entry_laws():
+    factories = [
+        (t.uniform_phase_rule(), moments.EntryDistribution("phase")),
+        (t.rademacher_rule(), moments.EntryDistribution("rademacher")),
+        *((t.roots_of_unity_rule(q), moments.EntryDistribution("roots", q)) for q in range(2, 7)),
+    ]
+    for rule, dist in factories:
+        law = dist.mixed_moment_rule()
+        assert rule == law and rule.name == dist.label
+        assert all(rule.mu(a, b) == law.mu(a, b) for a in range(9) for b in range(9))
+        assert moments.EntryDistribution.parse(dist.label) == dist
+    for bad in (lambda: t.roots_of_unity_rule(1),
+                lambda: moments.EntryDistribution.parse("roots:1"),
+                lambda: moments.EntryDistribution.parse("phase:3")):
+        with pytest.raises(ValueError):
+            bad()

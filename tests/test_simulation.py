@@ -300,7 +300,7 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
         if kind == "tensor":
             simulation.tensor_esd(vecs, tau)
         else:  # the trial path of run_trials
-            simulation._esd_in_place(t.gram_matrix(vecs), tau, nk, P=0, seed=None, dims=None)
+            simulation._esd_in_place(t.gram_matrix(vecs), tau, nk, P=0)
         peak = max(tracemalloc.get_traced_memory()[1], in_solve[0]) - base
     finally:
         tracemalloc.stop()
