@@ -16,22 +16,14 @@ keeps multiplicity n^k - (number of nonzero eigenvalues) as an exact
 integer. Rademacher entries are real, so their trials run in real
 arithmetic on either side.
 
-Every trial matrix goes through one in-place solve, ``_eigh_in_place``,
-and both products X diag(w) X^* (the tensor side's M and the signed Gram
-side's F^* sign(tau) F) come from ``_hermitian_form``. Eigenvalues come
-from LAPACK's two-stage tridiagonal reduction (?heevd_2stage) in the
-OpenBLAS that numpy ships; the signed Gram-side factor H = F F^* comes
-from the same library's ?heevd, which writes the eigenvectors over H.
-``run_trials`` holds that OpenBLAS at one thread for its whole trial
-loop, so the trial pool supplies the parallelism. Without that library
-(MKL, Accelerate, an older wheel) the solve falls back to
-``numpy.linalg.eigvalsh`` or ``eigh`` at the process's BLAS thread
-count. The solve overwrites its C-ordered float64 or complex128 matrix:
-each trial builds its Hermitian matrix that way and hands it over, so
-only the public ``hermitian_eigenvalues`` and ``esd`` copy, and convert,
-their argument. A Gram-side trial scales its G into H in place, so for
-tau >= 0 it holds one m x m matrix; G is built a strip of rows at a
-time, and H is checked for Hermiticity a tile at a time.
+Every trial matrix goes through one in-place solve, ``_eigh_in_place``:
+LAPACK's two-stage reduction in the OpenBLAS that numpy ships, else
+``numpy.linalg.eigvalsh``. The signed Gram side factors H = F F^* by
+pivoted Cholesky, ``_psd_factor_in_place``, so no eigenvector is
+computed, and both products X diag(w) X^* come from ``_hermitian_form``.
+Trials hand over the C-ordered matrices they build, so only the public
+``hermitian_eigenvalues`` and ``esd`` copy their argument, and a tau >= 0
+Gram-side trial holds one m x m matrix.
 
 Reproducibility: random streams come from numpy's counter-based Philox
 generator keyed by SeedSequence((seed, trial)), so any trial can be
@@ -129,15 +121,15 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
 _LAPACK_COL_MAJOR = 102
 
 _OpenBLAS = namedtuple(
-    "_OpenBLAS", "get_num_threads set_num_threads zheevd_2stage dsyevd_2stage zheevd dsyevd"
+    "_OpenBLAS", "get_num_threads set_num_threads zheevd_2stage dsyevd_2stage zpstrf dpstrf"
 )
 
 
 @functools.cache
 def _openblas() -> _OpenBLAS | None:
-    """The ILP64 thread-count, two-stage eigenvalue and divide-and-conquer
-    eigenvector entry points of the OpenBLAS that numpy ships, or None
-    when any of them is missing.
+    """The ILP64 thread-count, two-stage eigenvalue and pivoted Cholesky
+    entry points of the OpenBLAS that numpy ships, or None when any of
+    them is missing.
 
     The library is globbed from numpy's wheel directories (numpy.libs/ on
     Linux, numpy/.dylibs/ on macOS), so it is the one numpy.linalg already
@@ -159,18 +151,20 @@ def _openblas() -> _OpenBLAS | None:
                 lib.scipy_openblas_set_num_threads64_,
                 lib.scipy_LAPACKE_zheevd_2stage64_,
                 lib.scipy_LAPACKE_dsyevd_2stage64_,
-                lib.scipy_LAPACKE_zheevd64_,
-                lib.scipy_LAPACKE_dsyevd64_,
+                lib.scipy_LAPACKE_zpstrf64_,
+                lib.scipy_LAPACKE_dpstrf64_,
             )
         except (OSError, AttributeError):
             continue
         found.get_num_threads.argtypes, found.get_num_threads.restype = [], ctypes.c_int
         found.set_num_threads.argtypes, found.set_num_threads.restype = [ctypes.c_int], None
-        for solve in found[2:]:
-            # (layout, jobz, uplo, n, a, lda, w); lapack_int is int64 in the 64_ ABI
-            solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                              ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-            solve.restype = ctypes.c_int64
+        # lapack_int is int64 in the 64_ ABI; the solves take (layout, jobz, uplo,
+        # n, a, lda, w), the factors (layout, uplo, n, a, lda, piv, rank, tol)
+        i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+        solve = [ctypes.c_int, char, char, i64, ptr, i64, ptr]
+        factor = [ctypes.c_int, char, i64, ptr, i64, ptr, ptr, ctypes.c_double]
+        for f, argtypes in zip(found[2:], (solve, solve, factor, factor)):
+            f.argtypes, f.restype = argtypes, i64
         return found
     return None
 
@@ -213,52 +207,71 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, leaving H unchanged.
-
-    The solve overwrites its matrix, so this hands it a C-ordered float64
-    or complex128 copy of H: the one copy and the one conversion any solve
-    makes. Trials hand the matrices they build straight to the same
-    in-place solve, ``_eigh_in_place``, and copy nothing.
-    """
+    """Ascending eigenvalues of a Hermitian matrix, leaving H unchanged:
+    ``_eigh_in_place`` on a C-ordered float64 or complex128 copy of H, the
+    one copy and the one conversion any solve makes."""
     H = np.asarray(H)
-    return _eigh_in_place(np.array(H, dtype=np.result_type(H, np.float64), order="C"))[0]
+    return _eigh_in_place(np.array(H, dtype=np.result_type(H, np.float64), order="C"))
 
 
-def _eigh_in_place(A: np.ndarray, vectors: bool = False):
-    """(w, V) for a Hermitian, C-ordered float64 or complex128 A that the
-    caller gives up: ascending eigenvalues w and, when ``vectors``, V whose
-    row j is the conjugate of a unit eigenvector for w[j]; else V is None.
+def _eigh_in_place(A: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian, C-ordered float64 or
+    complex128 A that the caller gives up.
 
     Verifies Hermiticity to a relative 1e-9 first; the backward-stable
-    solver then guarantees residuals at the epsilon * norm level for each
-    eigenpair. LAPACK reads A column-major from its lower triangle, as
-    A^T = conj(A), and overwrites it. Eigenvalues alone come from the
-    two-stage reduction (dense to band to tridiagonal), ?heevd_2stage or
-    ?syevd_2stage; it computes no vectors, so those come from
-    divide-and-conquer ?heevd (?syevd), which writes the eigenvectors of
-    conj(A) over A: V is A's own buffer, and the work arrays add about two
-    matrices of A's size. Without the bundled OpenBLAS the solve is
-    ``eigvalsh`` or ``eigh``, which work on a copy.
+    solver then guarantees residuals at the epsilon * norm level. LAPACK
+    reads A column-major from its lower triangle, as A^T = conj(A), and
+    overwrites it, by the two-stage reduction (dense to band to
+    tridiagonal), ?heevd_2stage or ?syevd_2stage. Without the bundled
+    OpenBLAS the solve is ``eigvalsh``, which works on a copy.
     """
     _require_hermitian(A)
     blas = _openblas()
     if blas is None:
-        if not vectors:
-            return np.linalg.eigvalsh(A), None
-        w, F = np.linalg.eigh(A)
-        return w, F.conj().T
+        return np.linalg.eigvalsh(A)
     assert A.dtype in (np.float64, np.complex128) and A.flags.c_contiguous and A.flags.writeable
-    if np.iscomplexobj(A):
-        solve = blas.zheevd if vectors else blas.zheevd_2stage
-    else:
-        solve = blas.dsyevd if vectors else blas.dsyevd_2stage
+    solve = blas.zheevd_2stage if np.iscomplexobj(A) else blas.dsyevd_2stage
     n = A.shape[0]
     w = np.empty(n)
-    jobz = b"V" if vectors else b"N"
-    info = solve(_LAPACK_COL_MAJOR, jobz, b"L", n, A.ctypes.data, max(n, 1), w.ctypes.data)
+    info = solve(_LAPACK_COL_MAJOR, b"N", b"L", n, A.ctypes.data, max(n, 1), w.ctypes.data)
     if info != 0:
         raise NumericalError(f"Hermitian eigensolve failed with info={info}")
-    return w, (A if vectors else None)
+    return w
+
+
+def _psd_factor_in_place(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R, piv) with H[piv][:, piv] = R^* R, R being the first r rows of
+    the buffer of a positive semidefinite, C-ordered float64 or complex128
+    H that the caller gives up, and r its numerical rank.
+
+    Verifies Hermiticity first. ?pstrf, Cholesky with complete pivoting,
+    stops once no pivot left exceeds LAPACK's default tolerance,
+    m u max_a H[a, a] for the unit roundoff u. Reading H as conj(H), it
+    writes L with P^T conj(H) P = L L^*, so R = L^T, strictly-lower part
+    zeroed. Without the bundled OpenBLAS, ``eigh`` gives R = F^* from the
+    eigenpairs above m eps max, and piv is the identity.
+    """
+    _require_hermitian(H)
+    m = H.shape[0]
+    blas = _openblas()
+    if blas is None:
+        w, F = np.linalg.eigh(H)
+        r = np.count_nonzero(w > m * np.finfo(float).eps * w[-1])
+        F = F[:, m - r:]  # ascending, so the kept columns trail
+        F *= np.sqrt(w[m - r:])
+        H[:r] = F.conj().T
+        return H[:r], np.arange(m)
+    assert H.dtype in (np.float64, np.complex128) and H.flags.c_contiguous and H.flags.writeable
+    factor = blas.zpstrf if np.iscomplexobj(H) else blas.dpstrf
+    piv, rank = np.empty(m, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    info = factor(_LAPACK_COL_MAJOR, b"L", m, H.ctypes.data, max(m, 1),
+                  piv.ctypes.data, rank.ctypes.data, -1.0)
+    if info < 0:  # info > 0 only reports that H is rank-deficient
+        raise NumericalError(f"pivoted Cholesky failed with info={info}")
+    R = H[:int(rank[0])]
+    for i in range(1, len(R)):
+        R[i, :i] = 0
+    return R, piv - 1
 
 
 def _hermitian_form(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -329,15 +342,8 @@ class SpectrumSample:
         return self.zero_multiplicity + len(self.nonzero_eigenvalues)
 
 
-def esd(
-    G: np.ndarray,
-    tau,
-    nk_scale: int,
-    *,
-    P: int = 0,
-    seed: int | None = None,
-    dims: tuple[int, int, int] | None = None,
-) -> SpectrumSample:
+def esd(G: np.ndarray, tau, nk_scale: int, *, P: int = 0, seed: int | None = None,
+        dims: tuple[int, int, int] | None = None) -> SpectrumSample:
     """Empirical spectral distribution of one realization from its Gram
     matrix G, which is left untouched: ``_esd_in_place`` on a C-ordered
     float64 or complex128 copy of G.
@@ -352,26 +358,22 @@ def _esd_in_place(G, tau, nk_scale, *, P) -> SpectrumSample:
     D G is similar to sign(tau) H with H = |D|^(1/2) G |D|^(1/2) Hermitian,
     and H is formed by scaling G in place, after the trace identity's
     sum_a tau_a G[a, a] is read. For tau >= 0 H is eigensolved in place.
-    For mixed signs H = F F^*, F keeping the eigenvectors of H's numerical
-    rank r (eigenvalues above m eps max), which the solve writes over H,
-    and the r x r Hermitian F^* sign(tau) F is eigensolved. So a trial
-    holds one m x m matrix, plus the signed path's factor and product.
-    The fold and the moments are those of ``_spectrum_sample``.
+    For mixed signs ``_psd_factor_in_place`` turns H into R with
+    H[piv][:, piv] = R^* R, and the r x r Hermitian R sign(tau)[piv] R^*,
+    which has the nonzero eigenvalues of D G, is eigensolved. A trial
+    holds one m x m matrix, plus the signed path's weighted copy of R and
+    the product. The fold and the moments are those of ``_spectrum_sample``.
     """
-    m = G.shape[0]
-    tau = _weights(tau, m)
+    tau = _weights(tau, G.shape[0])
     root = np.sqrt(np.abs(tau))
     t_gram = float((tau * np.diag(G).real).sum())
     G *= root[:, None]
     G *= root  # now H[a, b] = root_a G[a, b] root_b
     if np.all(tau >= 0):
-        lam = _eigh_in_place(G)[0]
+        lam = _eigh_in_place(G)
     else:
-        w, V = _eigh_in_place(G, vectors=True)  # ascending, so the kept rows trail
-        r = np.count_nonzero(w > m * np.finfo(float).eps * w[-1])
-        R = V[m - r:]
-        R *= np.sqrt(w[m - r:])[:, None]  # R = F^*
-        lam = _eigh_in_place(_hermitian_form(R, np.sign(tau)))[0]
+        R, piv = _psd_factor_in_place(G)
+        lam = _eigh_in_place(_hermitian_form(R, np.sign(tau)[piv]))
     return _spectrum_sample(lam, t_gram, nk_scale, P)
 
 
@@ -400,7 +402,7 @@ def tensor_esd(vecs: np.ndarray, tau, *, P: int = 0) -> SpectrumSample:
     """
     tau = _weights(tau, vecs.shape[0])
     # Y is freed when the product is formed, so the solve holds only M
-    lam = _eigh_in_place(_hermitian_form(tensor_vectors(vecs), tau))[0]
+    lam = _eigh_in_place(_hermitian_form(tensor_vectors(vecs), tau))
     norms = np.prod(np.sum(np.abs(vecs) ** 2, axis=2), axis=1)
     return _spectrum_sample(lam, float((tau * norms).sum()), lam.size, P)
 
@@ -411,27 +413,22 @@ def _spectrum_sample(lam, t_gram: float, nk_scale: int, P: int) -> SpectrumSampl
     The eigenvalue sum must match the weighted Gram trace t_gram. The
     trace moments (1/n^k) Tr M^p for p = 1..P are power sums of lam,
     taken before the fold; one that is not finite is a NumericalError.
-    Eigenvalues within ZERO_TOL * max|eigenvalue|
-    fold into the zero atom, whose multiplicity is the exact integer
-    nk_scale - (number of nonzero eigenvalues).
+    Eigenvalues within ZERO_TOL * max|eigenvalue| fold into the zero atom,
+    whose multiplicity is the exact integer nk_scale - (number of nonzero
+    eigenvalues).
     """
     peak = float(np.max(np.abs(lam))) if lam.size else 0.0
     nonzero = lam[np.abs(lam) > ZERO_TOL * peak] if peak > 0 else lam[:0]
     t_eig = float(lam.sum())
     if abs(t_eig - t_gram) > 1e-8 * max(1.0, abs(t_gram)):
-        raise NumericalError(
-            f"trace mismatch: eigenvalue sum {t_eig!r} vs Gram trace {t_gram!r}"
-        )
+        raise NumericalError(f"trace mismatch: eigenvalue sum {t_eig!r} vs Gram trace {t_gram!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         moments = [float(np.sum(lam**p)) / float(nk_scale) for p in range(1, P + 1)]
     for p, value in enumerate(moments, start=1):
         if not math.isfinite(value):
             raise NumericalError(f"trace moment p={p} is {value!r}: lambda^p overflows a double")
-    return SpectrumSample(
-        nonzero_eigenvalues=np.asarray(nonzero, dtype=float),
-        zero_multiplicity=int(nk_scale) - int(nonzero.size),
-        trace_moments=moments,
-    )
+    zeros = int(nk_scale) - int(nonzero.size)
+    return SpectrumSample(np.asarray(nonzero, dtype=float), zeros, trace_moments=moments)
 
 
 @dataclass
@@ -473,13 +470,13 @@ def estimate_gram_bytes(m: int, nk: int, signed: bool, real: bool = False) -> in
 
     Gram side (m <= n^k), in m x m matrices: a trial scales G into H and
     solves it in place, so for tau >= 0 it holds that one matrix; it
-    counts two, the buffer and one of margin. Signed tau: the eigenvector
-    solve writes F^* over H and its work arrays hold about two more; the
-    product F^* sign(tau) F then holds H's buffer, F^* sign(tau) and the
-    r x r result. It counts four. In a phase trial at m = 2048 the
-    resident set grows by 1.1 (tau = 1) and 3.2 (alternating 1, -0.5)
-    of them. When m > n^k: the n^k x m tensor matrix and its weighted
-    copy, the n^k x n^k product, and one n^k x n^k matrix of margin.
+    counts two, the buffer and one of margin. Signed tau: the factor
+    overwrites H, and the product R sign(tau)[piv] R^* adds R's weighted
+    copy and the r x r result, three at full rank; it counts four. In a
+    phase trial at m = 2048 the resident set grows by 1.1 (tau = 1) and
+    3.2 (alternating 1, -0.5) of them. When m > n^k: the n^k x m tensor
+    matrix and its weighted copy, the n^k x n^k product, and one
+    n^k x n^k matrix of margin.
     """
     itemsize = 8 if real else 16
     if m > nk:

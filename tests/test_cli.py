@@ -1,8 +1,8 @@
 """Exercise the command line through main() in-process.
 
 Exit-code contract: 0 success, 2 usage, 3 numerical, 4 verification.
-Two tests start fresh interpreters: one inspects what the import loads,
-one varies the BLAS thread count, which is read at interpreter start.
+Three tests start fresh interpreters: one inspects what the import loads,
+two vary the BLAS thread count, which is read at interpreter start.
 """
 
 import dataclasses
@@ -529,11 +529,12 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.skipif(
+needs_openblas = pytest.mark.skipif(
     simulation._openblas() is None, reason="numpy does not ship the scipy-openblas library"
 )
-def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
-    argv = ["simulate", "--n", "6", "--k", "4", "--c", "0.5", "--trials", "2", "--seed", "5"]
+
+
+def _same_bytes_for_every_blas_thread_count(tmp_path, argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(tensormp.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outputs = set()
@@ -550,3 +551,19 @@ def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
             assert len(files) == 3
             outputs.add(tuple((f.name, f.read_bytes()) for f in files))
     assert len(outputs) == 1
+
+
+@needs_openblas
+def test_simulate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    argv = ["simulate", "--n", "6", "--k", "4", "--c", "0.5", "--trials", "2", "--seed", "5"]
+    _same_bytes_for_every_blas_thread_count(tmp_path, argv)
+
+
+@needs_openblas
+def test_signed_gram_side_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # m = 648 <= n^k = 1296: each trial factors H by the pivoted Cholesky
+    tau = tmp_path / "tau.txt"
+    tau.write_text("".join(f"{(1.0, -0.5)[j % 2]}\n" for j in range(648)))
+    argv = ["simulate", "--n", "6", "--k", "4", "--c", "0.5", "--trials", "2", "--seed", "5",
+            "--tau", f"file:{tau}"]
+    _same_bytes_for_every_blas_thread_count(tmp_path, argv)

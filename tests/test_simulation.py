@@ -10,7 +10,7 @@ import pytest
 
 import tensormp as t
 from tensormp import EntryDistribution, NumericalError
-from tensormp.claims import dense_check
+from tensormp.claims import dense_check, dense_matrix
 from tensormp import simulation
 from tensormp.simulation import estimate_gram_bytes, histogram_rows, trial_rng
 
@@ -273,11 +273,9 @@ def test_estimate_gram_bytes():
             assert estimate_gram_bytes(m, 4096, signed, real=True) * 2 == full
 
 
-def _heevd_workspace_bytes(m):
-    # zheevd's work arrays with eigenvectors, malloced by LAPACKE out of
-    # tracemalloc's view at LAPACK's sizes:
-    # m^2 + 2m complex, 1 + 5m + 2m^2 real, 3 + 5m integers
-    return 16 * (m * m + 2 * m) + 8 * (2 * m * m + 5 * m + 1) + 8 * (5 * m + 3)
+def _factor_workspace_bytes(m):
+    # ?pstrf's work array, malloced by LAPACKE out of tracemalloc's view: 2m reals
+    return 8 * 2 * m
 
 
 @pytest.mark.parametrize("kind", ["tau=1", "signed", "tensor"])
@@ -286,14 +284,13 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
     nk = n**k
     tau = _signed(m) if kind == "signed" else np.ones(m)
     vecs = t.sample_base_vectors(n, k, m, t.PHASE, seed=1)
-    real_solve, in_solve = simulation._eigh_in_place, [0]
+    real_factor, in_factor = simulation._psd_factor_in_place, [0]
 
-    def solve(A, vectors=False):
-        if vectors:
-            in_solve[0] = tracemalloc.get_traced_memory()[0] + _heevd_workspace_bytes(len(A))
-        return real_solve(A, vectors)
+    def factor(H):
+        in_factor[0] = tracemalloc.get_traced_memory()[0] + _factor_workspace_bytes(len(H))
+        return real_factor(H)
 
-    monkeypatch.setattr(simulation, "_eigh_in_place", solve)
+    monkeypatch.setattr(simulation, "_psd_factor_in_place", factor)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -301,10 +298,10 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
             simulation.tensor_esd(vecs, tau)
         else:  # the trial path of run_trials
             simulation._esd_in_place(t.gram_matrix(vecs), tau, nk, P=0)
-        peak = max(tracemalloc.get_traced_memory()[1], in_solve[0]) - base
+        peak = max(tracemalloc.get_traced_memory()[1], in_factor[0]) - base
     finally:
         tracemalloc.stop()
-    assert (in_solve[0] > 0) == (kind == "signed")
+    assert (in_factor[0] > 0) == (kind == "signed")
     one = 16 * (m * nk if kind == "tensor" else m * m)  # the trial's largest matrix
     estimate = estimate_gram_bytes(m, nk, kind == "signed")
     assert estimate - one <= peak <= estimate
@@ -549,22 +546,46 @@ def test_public_copies_convert_any_layout_and_dtype(monkeypatch, fallback):
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["openblas", "fallback"])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-def test_eigh_in_place_rows_are_conjugate_unit_eigenvectors(monkeypatch, fallback, real):
+def test_psd_factor_reproduces_its_matrix_and_rank(monkeypatch, fallback, real):
     if fallback:
         monkeypatch.setattr(simulation, "_openblas", lambda: None)
-    for size in (1, 2, 7, 40):
-        A = _small_hermitian(size)
-        if real:
-            A = A.real.copy()
-        w, V = simulation._eigh_in_place(A.copy(), vectors=True)
-        values, none = simulation._eigh_in_place(A.copy())
-        assert none is None
-        _assert_same_spectrum(w, values)
-        norm = np.linalg.norm(A, 2)
-        for j in range(size):
-            v = V[j].conj()
-            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-            assert np.linalg.norm(A @ v - w[j] * v) <= 1e-12 * norm
+    dtype = np.float64 if real else np.complex128
+    rng = np.random.default_rng(2)
+    for size, rank in ((1, 1), (2, 2), (7, 7), (40, 40), (40, 13)):
+        X = rng.standard_normal((size, rank)).astype(dtype)
+        if not real:
+            X += 1j * rng.standard_normal((size, rank))
+        H = X @ X.conj().T
+        R, piv = simulation._psd_factor_in_place(H.copy())
+        assert R.shape == (rank, size) and sorted(piv) == list(range(size))
+        assert np.max(np.abs(R.conj().T @ R - H[piv][:, piv])) <= 1e-12 * np.linalg.norm(H)
+    # linearly dependent Rademacher tensor vectors: G's rank is Y's
+    for n, k, m in ((2, 4, 16), (2, 4, 12), (3, 3, 27), (2, 3, 8), (2, 5, 32), (3, 2, 9)):
+        for seed in range(4):
+            vecs = t.sample_base_vectors(n, k, m, t.RADEMACHER, seed=seed)
+            G = t.gram_matrix(vecs).astype(dtype)
+            R, piv = simulation._psd_factor_in_place(G.copy())
+            assert len(R) == np.linalg.matrix_rank(simulation.tensor_vectors(vecs))
+            assert np.max(np.abs(R.conj().T @ R - G[piv][:, piv])) <= 1e-12 * np.linalg.norm(G)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["openblas", "fallback"])
+@pytest.mark.parametrize("spec", ["phase", "rademacher", "roots:3"])
+def test_signed_gram_side_with_zero_and_wide_weights(monkeypatch, fallback, spec):
+    # zero weights leave rows of H empty, and 1e3 next to -1e-3 spans six decades
+    if fallback:
+        monkeypatch.setattr(simulation, "_openblas", lambda: None)
+    d = EntryDistribution.parse(spec)
+    for n, k, m in ((2, 4, 16), (3, 3, 20), (3, 3, 27), (4, 3, 50)):
+        tau = np.resize([1.0, 0.0, -0.5, 1e3, -1e-3], m)
+        for seed in range(3):
+            vecs = t.sample_base_vectors(n, k, m, d, seed=seed)
+            s = t.esd(t.gram_matrix(vecs), tau, n**k)
+            lam = t.hermitian_eigenvalues(dense_matrix(vecs, tau))
+            peak = float(np.max(np.abs(lam)))
+            assert dense_check(s, vecs, tau)[0] <= 1e-10 * max(1.0, peak)
+            dense_zeros = np.count_nonzero(np.abs(lam) <= simulation.ZERO_TOL * peak)
+            assert s.zero_multiplicity == dense_zeros
 
 
 @needs_openblas
@@ -640,7 +661,7 @@ def test_bundled_openblas_exports_the_fast_path():
         pytest.skip("numpy is not built on scipy-openblas")
     blas = simulation._openblas()
     assert blas is not None and all(callable(f) for f in blas)
-    # the thread count, the two-stage eigenvalue solves and the eigenvector solves
+    # the thread count, the two-stage eigenvalue solves and the pivoted Cholesky factors
     assert blas._fields == (
-        "get_num_threads", "set_num_threads", "zheevd_2stage", "dsyevd_2stage", "zheevd", "dsyevd"
+        "get_num_threads", "set_num_threads", "zheevd_2stage", "dsyevd_2stage", "zpstrf", "dpstrf"
     )
