@@ -40,9 +40,7 @@ def main():
     counts, _ = np.histogram(lam, bins=edges)
     masses = counts / nk
     print("\nNonzero-part histogram vs law mass per bin:")
-    from tensormp.mplaw import continuous_cdf_sorted
-
-    cdf_at_edges = continuous_cdf_sorted(edges, C)
+    cdf_at_edges = [t.cdf(x, C) for x in edges]
     for j in range(len(counts)):
         want = cdf_at_edges[j + 1] - cdf_at_edges[j]
         bar = "#" * int(round(200 * masses[j]))

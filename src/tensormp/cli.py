@@ -64,6 +64,7 @@ DOMAINS = {
     "c": ("finite and > 0", lambda v: 0 < v < math.inf),
     "mem_limit": ("> 0", lambda v: v > 0),
     "grid_points": (">= 2", lambda v: v >= 2),
+    "seed": (">= 0", lambda v: v >= 0),
     **dict.fromkeys(("x_min", "x_max"), ("finite", math.isfinite)),
 }
 

@@ -472,16 +472,18 @@ def estimate_gram_bytes(m: int, nk: int, signed: bool, real: bool = False) -> in
     solves it in place, so for tau >= 0 it holds that one matrix; it
     counts two, the buffer and one of margin. Signed tau: the factor
     overwrites H, and the product R sign(tau)[piv] R^* adds R's weighted
-    copy and the r x r result, three at full rank; it counts four. In a
+    copy and the r x r result, three at full rank; it counts four. Without
+    the bundled OpenBLAS, ``eigh`` adds its eigenvectors, its own copy of
+    H and two matrices of work arrays, five in all; it counts six. In a
     phase trial at m = 2048 the resident set grows by 1.1 (tau = 1) and
-    3.2 (alternating 1, -0.5) of them. When m > n^k: the n^k x m tensor
-    matrix and its weighted copy, the n^k x n^k product, and one
-    n^k x n^k matrix of margin.
+    3.2 (alternating 1, -0.5) of them, and by 5.39 through ``eigh`` at
+    m = 1024. When m > n^k: the n^k x m tensor matrix and its weighted
+    copy, the n^k x n^k product, and one n^k x n^k matrix of margin.
     """
     itemsize = 8 if real else 16
     if m > nk:
         return itemsize * (2 * nk * nk + 2 * m * nk)
-    return itemsize * (4 if signed else 2) * m * m
+    return itemsize * (2 if not signed else 4 if _openblas() else 6) * m * m
 
 
 def constant_weight(tau_coeffs) -> float | None:

@@ -485,6 +485,7 @@ def test_simulate_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
         "mplaw --c nan",
         "mplaw --c 0.5 --x-max nan",
         "mplaw --c 1.79e308",  # the default x_max = 1.05 b overflows
+        "simulate --n 2 --k 1 --m 2 --seed -1",
     ],
 )
 def test_bad_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
@@ -492,6 +493,8 @@ def test_bad_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     rc, out, err = run(capsys, *argv.split(), "--out", str(tmp_path / "out"))
     assert rc == 2 and out == ""
     assert err.startswith("usage error: ") and "Traceback" not in err
+    if "--seed" in argv:  # numpy's own message would name no flag
+        assert "--seed=-1 must be >= 0" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -10,9 +10,9 @@ import tensormp as t
 from tensormp.claims import CLAIMS
 from tensormp.mplaw import (
     MPLaw,
+    _cdf,
     _integrand_theta,
     _theta_of_x,
-    continuous_cdf_sorted,
     law_table_csv,
 )
 from tensormp.simulation import SpectrumSample
@@ -93,15 +93,15 @@ def test_cdf_monotone():
 
 
 def test_continuous_cdf_matches_scalar_cdf():
-    # the Gauss-Legendre path, vector and scalar, against adaptive quad
-    for c in (0.25, 1.0, 3.0):
+    # the Gauss-Legendre path, vector and scalar, against adaptive quad;
+    # near c = 1 the density's 1/x varies on a theta scale of sqrt(a/(b - a))
+    for c in (0.25, 0.9999, 1.0, 1.0001, 3.0):
         law = MPLaw(c)
         xs = np.linspace(law.a, law.b, 41)
-        vec = continuous_cdf_sorted(xs, c)
-        atom = law.atom
+        vec = _cdf(xs, c)
         for x, v in zip(xs, vec):
             want = quad_cdf(x, c)
-            assert v + atom == pytest.approx(want, abs=1e-9)
+            assert v == pytest.approx(want, abs=1e-9)
             assert t.cdf(x, c) == pytest.approx(want, abs=1e-9)
 
 
@@ -167,8 +167,8 @@ def test_law_table_csv_contains_atom_row():
 def test_law_table_rows_equal_scalar_density_and_cdf(c):
     # one vectorised density and CDF serve the table and the scalar calls;
     # the square root is taken inside the support only, so nothing warns.
-    # The table's CDF sums quadrature segments along the grid, the scalar
-    # one integrates from the lower edge, so they agree to rounding only.
+    # Each CDF value is integrated from theta = 0 on its own, so the table
+    # and the scalar call agree to the last digit.
     law = MPLaw(c)
     xs = np.unique(np.concatenate([np.linspace(-1.0, 1.1 * law.b, 41), [0.0, law.a, law.b]]))
     with warnings.catch_warnings():
@@ -178,5 +178,5 @@ def test_law_table_rows_equal_scalar_density_and_cdf(c):
         cdf = [t.cdf(x, c) for x in xs.tolist()]
     assert rows[:, 0].tolist() == [repr(x) for x in xs.tolist()]
     assert rows[:, 1].tolist() == [repr(v) for v in pdf]
-    assert rows[:, 2].astype(float) == pytest.approx(cdf, rel=0, abs=1e-13)
+    assert rows[:, 2].tolist() == [repr(v) for v in cdf]
     assert rows[-1, 2] == "1.0" and rows[0, 2] == "0.0"

@@ -260,10 +260,13 @@ def test_histogram_rows_mass_and_atom():
     assert sum(m for _, _, m in rows) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_estimate_gram_bytes():
-    # the Gram side counts two m x m matrices for tau >= 0, four for signed tau
-    assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 2
-    assert estimate_gram_bytes(2048, 4096, True) == 16 * 2048 * 2048 * 4
+def test_estimate_gram_bytes(monkeypatch):
+    # the Gram side counts two m x m matrices for tau >= 0, four for signed
+    # tau, and six for signed tau when numpy's eigh factors H
+    for blas, signed in ((object(), 4), (None, 6)):
+        monkeypatch.setattr(simulation, "_openblas", lambda blas=blas: blas)
+        assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 2
+        assert estimate_gram_bytes(2048, 4096, True) == 16 * 2048 * 2048 * signed
     # m > n^k: two n^k x n^k matrices, the n^k x m tensor matrix and its weighted copy
     for signed in (False, True):
         assert estimate_gram_bytes(8192, 4096, signed) == 16 * (2 * 4096 * 4096 + 2 * 8192 * 4096)
@@ -278,19 +281,35 @@ def _factor_workspace_bytes(m):
     return 8 * 2 * m
 
 
-@pytest.mark.parametrize("kind", ["tau=1", "signed", "tensor"])
+def _eigh_workspace_bytes(m):
+    # numpy's complex eigh, malloced out of tracemalloc's view: its copy of H
+    # and the eigenvalues, then zheevd's work (m^2 + 2m complex), rwork
+    # (2m^2 + 5m + 1 reals) and iwork (5m + 3 integers)
+    return 16 * m * m + 8 * m + 16 * (m * m + 2 * m) + 8 * (2 * m * m + 5 * m + 1) + 8 * (5 * m + 3)
+
+
+@pytest.mark.parametrize("kind", ["tau=1", "signed", "tensor", "signed-fallback"])
 def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
     n, k, m = (4, 4, 512) if kind == "tensor" else (4, 5, 512)
     nk = n**k
-    tau = _signed(m) if kind == "signed" else np.ones(m)
+    signed = kind.startswith("signed")
+    tau = _signed(m) if signed else np.ones(m)
     vecs = t.sample_base_vectors(n, k, m, t.PHASE, seed=1)
-    real_factor, in_factor = simulation._psd_factor_in_place, [0]
+    real_factor, real_eigh, in_factor = simulation._psd_factor_in_place, np.linalg.eigh, [0]
 
     def factor(H):
         in_factor[0] = tracemalloc.get_traced_memory()[0] + _factor_workspace_bytes(len(H))
         return real_factor(H)
 
+    def eigh(H):  # the fallback factor; its eigenpairs are traced when it returns
+        out = real_eigh(H)
+        in_factor[0] = tracemalloc.get_traced_memory()[0] + _eigh_workspace_bytes(len(H))
+        return out
+
     monkeypatch.setattr(simulation, "_psd_factor_in_place", factor)
+    if kind == "signed-fallback":
+        monkeypatch.setattr(simulation, "_openblas", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -301,9 +320,9 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
         peak = max(tracemalloc.get_traced_memory()[1], in_factor[0]) - base
     finally:
         tracemalloc.stop()
-    assert (in_factor[0] > 0) == (kind == "signed")
+    assert (in_factor[0] > 0) == signed
     one = 16 * (m * nk if kind == "tensor" else m * m)  # the trial's largest matrix
-    estimate = estimate_gram_bytes(m, nk, kind == "signed")
+    estimate = estimate_gram_bytes(m, nk, signed)
     assert estimate - one <= peak <= estimate
     if kind == "tau=1":
         assert peak <= 1.5 * one  # G alone, scaled into H and solved in place
