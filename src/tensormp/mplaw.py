@@ -63,7 +63,8 @@ def _integrand_theta(law: MPLaw, theta: np.ndarray, power: int = 0) -> np.ndarra
         x = w * np.sin(theta) ** 2
     else:
         x = a + w * np.sin(theta) ** 2
-        base = w**2 * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi * x)
+        # w (w / x), not w^2 / x: w^2 overflows once c passes about 1e307
+        base = w * (w / x) * np.sin(2.0 * theta) ** 2 / (4.0 * math.pi)
     return base if power == 0 else x ** power * base
 
 

@@ -16,11 +16,13 @@ keeps multiplicity n^k - (number of nonzero eigenvalues) as an exact
 integer. Rademacher entries are real, so their trials run in real
 arithmetic on either side.
 
-Every trial matrix goes through one in-place solve, ``_eigh_in_place``:
-LAPACK's two-stage reduction in the OpenBLAS that numpy ships, else
-``numpy.linalg.eigvalsh``. The signed Gram side factors H = F F^* by
-pivoted Cholesky, ``_psd_factor_in_place``, so no eigenvector is
-computed, and both products X diag(w) X^* come from ``_hermitian_form``.
+Every trial matrix goes through one in-place solve, ``_eigh_in_place``.
+With the OpenBLAS that numpy ships it runs LAPACK's two stages itself,
+dense to a band of width BAND and band to tridiagonal, then ``dsterf``;
+else it calls ``numpy.linalg.eigvalsh``. The signed Gram side factors
+H = F F^* by pivoted Cholesky, ``_psd_factor_in_place``, so no
+eigenvector is computed, and both products X diag(w) X^* come from
+``_hermitian_form``.
 Trials hand over the C-ordered matrices they build, so only the public
 ``hermitian_eigenvalues`` and ``esd`` copy their argument, and a tau >= 0
 Gram-side trial holds one m x m matrix.
@@ -119,38 +121,50 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
 
 
 _LAPACK_COL_MAJOR = 102
+BAND = 32  # band width KD of the two-stage reduction (BENCH_two_stage_band.json)
 
 _OpenBLAS = namedtuple(
-    "_OpenBLAS", "get_num_threads set_num_threads zheevd_2stage dsyevd_2stage zpstrf dpstrf"
+    "_OpenBLAS",
+    "get_num_threads set_num_threads zhetrd_he2hb dsytrd_sy2sb zhetrd_hb2st dsytrd_sb2st"
+    " dsterf zpstrf dpstrf",
 )
+
+
+def _openblas_paths() -> list[str]:
+    """The scipy-openblas libraries of numpy's wheel directories
+    (numpy.libs/ on Linux, numpy/.dylibs/ on macOS)."""
+    import glob
+
+    pkg = os.path.dirname(np.__file__)
+    return sorted(
+        glob.glob(os.path.join(os.path.dirname(pkg), "numpy.libs", "libscipy_openblas*"))
+        + glob.glob(os.path.join(pkg, ".dylibs", "libscipy_openblas*"))
+    )
 
 
 @functools.cache
 def _openblas() -> _OpenBLAS | None:
-    """The ILP64 thread-count, two-stage eigenvalue and pivoted Cholesky
-    entry points of the OpenBLAS that numpy ships, or None when any of
-    them is missing.
+    """The ILP64 thread-count, two-stage reduction, tridiagonal eigenvalue
+    and pivoted Cholesky entry points of the OpenBLAS that numpy ships, or
+    None when any of them is missing.
 
-    The library is globbed from numpy's wheel directories (numpy.libs/ on
-    Linux, numpy/.dylibs/ on macOS), so it is the one numpy.linalg already
-    runs on. Resolved on first use: importing tensormp loads nothing.
+    The library is the one numpy.linalg already runs on. Resolved on first
+    use: importing tensormp loads nothing. The reductions and ``dsterf``
+    are gfortran subroutines, called through ``_fortran``.
     """
     import ctypes
-    import glob
 
-    pkg = os.path.dirname(np.__file__)
-    paths = sorted(
-        glob.glob(os.path.join(os.path.dirname(pkg), "numpy.libs", "libscipy_openblas*"))
-        + glob.glob(os.path.join(pkg, ".dylibs", "libscipy_openblas*"))
-    )
-    for path in paths:
+    for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path)
             found = _OpenBLAS(
                 lib.scipy_openblas_get_num_threads64_,
                 lib.scipy_openblas_set_num_threads64_,
-                lib.scipy_LAPACKE_zheevd_2stage64_,
-                lib.scipy_LAPACKE_dsyevd_2stage64_,
+                lib.scipy_zhetrd_he2hb_64_,
+                lib.scipy_dsytrd_sy2sb_64_,
+                lib.scipy_zhetrd_hb2st_64_,
+                lib.scipy_dsytrd_sb2st_64_,
+                lib.scipy_dsterf_64_,
                 lib.scipy_LAPACKE_zpstrf64_,
                 lib.scipy_LAPACKE_dpstrf64_,
             )
@@ -158,15 +172,36 @@ def _openblas() -> _OpenBLAS | None:
             continue
         found.get_num_threads.argtypes, found.get_num_threads.restype = [], ctypes.c_int
         found.set_num_threads.argtypes, found.set_num_threads.restype = [ctypes.c_int], None
-        # lapack_int is int64 in the 64_ ABI; the solves take (layout, jobz, uplo,
-        # n, a, lda, w), the factors (layout, uplo, n, a, lda, piv, rank, tol)
-        i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
-        solve = [ctypes.c_int, char, char, i64, ptr, i64, ptr]
-        factor = [ctypes.c_int, char, i64, ptr, i64, ptr, ptr, ctypes.c_double]
-        for f, argtypes in zip(found[2:], (solve, solve, factor, factor)):
-            f.argtypes, f.restype = argtypes, i64
+        for f in found[2:7]:
+            f.restype = None  # arguments are converted by ``_fortran``
+        # lapack_int is int64 in the 64_ ABI; the factors take
+        # (layout, uplo, n, a, lda, piv, rank, tol)
+        factor = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
+                  ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double]
+        for f in found[7:]:
+            f.argtypes, f.restype = factor, ctypes.c_int64
         return found
     return None
+
+
+def _fortran(f, *args) -> int:
+    """INFO of the gfortran LAPACK subroutine f, called with args and INFO.
+
+    Every argument goes by reference: arrays by their data pointer, ints
+    as int64 (lapack_int in the 64_ ABI), bytes as CHARACTER*1, whose
+    hidden size_t lengths follow INFO.
+    """
+    import ctypes
+
+    info = ctypes.c_int64()
+    refs = [
+        ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
+        else a if isinstance(a, bytes) else ctypes.byref(ctypes.c_int64(a))
+        for a in args
+    ]
+    lengths = [ctypes.c_size_t(len(a)) for a in args if isinstance(a, bytes)]
+    f(*refs, ctypes.byref(info), *lengths)
+    return info.value
 
 
 class _OneBlasThread:
@@ -221,22 +256,64 @@ def _eigh_in_place(A: np.ndarray) -> np.ndarray:
     Verifies Hermiticity to a relative 1e-9 first; the backward-stable
     solver then guarantees residuals at the epsilon * norm level. LAPACK
     reads A column-major from its lower triangle, as A^T = conj(A), and
-    overwrites it, by the two-stage reduction (dense to band to
-    tridiagonal), ?heevd_2stage or ?syevd_2stage. Without the bundled
-    OpenBLAS the solve is ``eigvalsh``, which works on a copy.
+    overwrites it. ?hetrd_he2hb / ?sytrd_sy2sb takes A to a band of
+    width BAND, ?hetrd_hb2st / ?sytrd_sb2st the band to a tridiagonal,
+    and ``dsterf`` gives its eigenvalues: ?heevd_2stage's eigenvalue path
+    and scaling rule, with the band's width fixed. LAPACK's ilaenv2stage
+    picks 32 for real and 16 for complex matrices on one thread, sized
+    for parallel bulge chasing that a one-thread trial never runs; at 16
+    the rank-32 updates of the first stage take most of the solve. Real
+    solves are therefore LAPACK's bit for bit, complex ones move in the
+    last bits. The band, the Householder array and one work array shared
+    by both stages take the sizes of LAPACK's -1 queries, about 3.3 MB
+    for a complex m = 2048. Without the bundled OpenBLAS the solve is
+    ``eigvalsh``, which works on a copy.
     """
-    _require_hermitian(A)
+    peak = _require_hermitian(A)
     blas = _openblas()
     if blas is None:
         return np.linalg.eigvalsh(A)
     assert A.dtype in (np.float64, np.complex128) and A.flags.c_contiguous and A.flags.writeable
-    solve = blas.zheevd_2stage if np.iscomplexobj(A) else blas.dsyevd_2stage
-    n = A.shape[0]
-    w = np.empty(n)
-    info = solve(_LAPACK_COL_MAJOR, b"N", b"L", n, A.ctypes.data, max(n, 1), w.ctypes.data)
+    sigma = _lapack_scale(peak)
+    if sigma != 1.0:
+        A *= sigma
+    to_band, to_tridiagonal = (
+        (blas.zhetrd_he2hb, blas.zhetrd_hb2st) if np.iscomplexobj(A)
+        else (blas.dsytrd_sy2sb, blas.dsytrd_sb2st)
+    )
+    n, ld = A.shape[0], max(A.shape[0], 1)
+    band = np.empty((n, BAND + 1), dtype=A.dtype)  # column-major (BAND + 1) x n
+    tau = np.empty(max(n - BAND, 1), dtype=A.dtype)
+    w, e = np.empty(n), np.empty(max(n - 1, 1))
+    sizes = np.zeros(3, dtype=A.dtype)  # the -1 queries' sizes: work, Householder, work
+    _fortran(to_band, b"L", n, BAND, A, ld, band, BAND + 1, tau, sizes, -1)
+    _fortran(to_tridiagonal, b"Y", b"N", b"L", n, BAND, band, BAND + 1, w, e,
+             sizes[1:], -1, sizes[2:], -1)
+    hous = np.empty(max(int(sizes[1].real), 1), dtype=A.dtype)
+    work = np.empty(max(int(sizes[0].real), int(sizes[2].real), 1), dtype=A.dtype)
+    info = _fortran(to_band, b"L", n, BAND, A, ld, band, BAND + 1, tau, work, work.size)
+    if info == 0:
+        info = _fortran(to_tridiagonal, b"Y", b"N", b"L", n, BAND, band, BAND + 1, w, e,
+                        hous, hous.size, work, work.size)
+    if info == 0:
+        info = _fortran(blas.dsterf, n, w, e)
     if info != 0:
         raise NumericalError(f"Hermitian eigensolve failed with info={info}")
+    if sigma != 1.0:
+        w *= 1.0 / sigma
     return w
+
+
+def _lapack_scale(peak: float) -> float:
+    """The factor ?heevd_2stage scales A by before its reduction: 1 unless
+    the largest |entry| lies outside [sqrt(SMLNUM), sqrt(BIGNUM)], for
+    SMLNUM = safe minimum / eps and BIGNUM = 1 / SMLNUM; else the factor
+    that takes it to the nearer end."""
+    smlnum = np.finfo(float).tiny / np.finfo(float).eps
+    rmin, rmax = math.sqrt(smlnum), math.sqrt(1.0 / smlnum)
+    if 0.0 < peak < rmin:
+        return rmin / peak
+    return rmax / peak if peak > rmax else 1.0
 
 
 def _psd_factor_in_place(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,27 +361,30 @@ def _hermitian_form(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return W @ X.T
 
 
-def _require_hermitian(H: np.ndarray) -> None:
-    """Refuse H unless it is square, finite and Hermitian to a relative 1e-9:
+def _require_hermitian(H: np.ndarray) -> float:
+    """The largest |entry| of H, which is refused unless it is square,
+    finite and Hermitian to a relative 1e-9:
     ||H - H^H||_F <= 1e-9 max(1, ||H||_F).
 
-    Both Frobenius norms come from ``_hermitian_residual``, a tile at a
-    time, so no temporary as large as H is made. The squared norm
-    overflows once entries pass about 1e154; only then is H read again,
-    to refuse an entry that is not finite or else to divide every tile
-    by the largest |entry|.
+    The largest |entry| is taken a row strip at a time and both Frobenius
+    norms come from ``_hermitian_residual``, a tile at a time, so no
+    temporary as large as H is made. The squared norm overflows once
+    entries pass about 1e154; only then are the norms taken again, of
+    H divided by its largest |entry|.
     """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
+        peak = max((float(np.abs(H[lo:lo + HERMITIAN_TILE]).max())
+                    for lo in range(0, H.shape[0], HERMITIAN_TILE)), default=0.0)
+        if not math.isfinite(peak):
+            raise NumericalError("matrix has an entry that is not finite")
         residual, norm = _hermitian_residual(H)
         if not math.isfinite(norm):
-            strips = [H[lo:lo + HERMITIAN_TILE] for lo in range(0, H.shape[0], HERMITIAN_TILE)]
-            if not all(np.isfinite(s).all() for s in strips):
-                raise NumericalError("matrix has an entry that is not finite")
-            residual, norm = _hermitian_residual(H, max(float(np.abs(s).max()) for s in strips))
+            residual, norm = _hermitian_residual(H, peak)
     if residual > 1e-9 * max(1.0, norm):
         raise NumericalError("matrix is not Hermitian within tolerance")
+    return peak
 
 
 def _hermitian_residual(H: np.ndarray, scale: float = 1.0) -> tuple[float, float]:
@@ -475,10 +555,11 @@ def estimate_gram_bytes(m: int, nk: int, signed: bool, real: bool = False) -> in
     copy and the r x r result, three at full rank; it counts four. Without
     the bundled OpenBLAS, ``eigh`` adds its eigenvectors, its own copy of
     H and two matrices of work arrays, five in all; it counts six. In a
-    phase trial at m = 2048 the resident set grows by 1.1 (tau = 1) and
-    3.2 (alternating 1, -0.5) of them, and by 5.39 through ``eigh`` at
-    m = 1024. When m > n^k: the n^k x m tensor matrix and its weighted
-    copy, the n^k x n^k product, and one n^k x n^k matrix of margin.
+    phase trial at m = 2048 the resident set grows by 1.12 (tau = 1) and
+    3.16 (alternating 1, -0.5) of them, the staged solve's band and work
+    arrays included, and by 5.39 through ``eigh`` at m = 1024. When
+    m > n^k: the n^k x m tensor matrix and its weighted copy, the
+    n^k x n^k product, and one n^k x n^k matrix of margin.
     """
     itemsize = 8 if real else 16
     if m > nk:

@@ -172,6 +172,13 @@ def test_mplaw_table_atom_row(capsys):
     assert float(x0[2]) == pytest.approx(0.75, abs=1e-10)
 
 
+def test_mplaw_at_the_largest_c(capsys):
+    # the density's factor w^2, w = 4 sqrt(c), would overflow past c = 1.1e307
+    rc, out, err = run(capsys, "mplaw", "--c", "1e308", "--grid-points", "3")
+    assert rc == 0 and err == ""
+    assert float(out.strip().split("\n")[-1].split(",")[2]) == 1.0
+
+
 def test_simulate_requires_dimensions(capsys):
     rc, _, err = run(capsys, "simulate", "--n", "3")
     assert rc == 2 and "usage error" in err

@@ -84,6 +84,12 @@ def test_cdf_values():
         assert t.cdf(law.b, c) - t.cdf(law.a, c) == pytest.approx(min(1.0, c), abs=1e-8)
 
 
+def test_cdf_is_finite_at_the_largest_c():
+    # at c = 1e308 the support is narrower than one ulp of b, so F steps from 0 to 1
+    law = MPLaw(1e308)
+    assert t.cdf(1.0, 1e308) == 0.0 and t.cdf(law.b, 1e308) == 1.0
+
+
 def test_cdf_monotone():
     for c in (0.5, 1.0, 2.0):
         law = MPLaw(c)

@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -459,6 +461,15 @@ def _small_hermitian(size):
     return X + X.conj().T
 
 
+BAND = simulation.BAND
+SOLVER_SIZES = {"band": BAND, "band+1": BAND + 1, "2band+3": 2 * BAND + 3, "size-300": 300}
+
+
+def _sized_case(size, real, scale=1.0):
+    H = _small_hermitian(size)
+    return (H.real.copy() if real else H) * scale
+
+
 SOLVER_CASES = {
     "phase-gram": lambda: t.gram_matrix(t.sample_base_vectors(4, 3, 40, t.PHASE, seed=1)),
     "rademacher-gram": lambda: t.gram_matrix(t.sample_base_vectors(4, 3, 40, t.RADEMACHER, seed=1)),
@@ -468,6 +479,12 @@ SOLVER_CASES = {
     "size-3": lambda: _small_hermitian(3),
     # m > n^k: G (20 x 20) has rank at most n^k = 8
     "rank-deficient": lambda: t.gram_matrix(t.sample_base_vectors(2, 3, 20, t.PHASE, seed=6)),
+    # sizes about the band width: A is already a band up to BAND + 1
+    **{f"{name}-{kind}": functools.partial(_sized_case, size, kind == "real")
+       for name, size in SOLVER_SIZES.items() for kind in ("complex", "real")},
+    # the largest entry outside [sqrt(SMLNUM), sqrt(BIGNUM)]: A is scaled before the reduction
+    **{f"max-entry-{scale:g}-{kind}": functools.partial(_sized_case, 70, kind == "real", scale)
+       for scale in (1e160, 1e-160) for kind in ("complex", "real")},
 }
 
 
@@ -475,8 +492,41 @@ SOLVER_CASES = {
 @pytest.mark.parametrize("case", SOLVER_CASES)
 def test_two_stage_solver_matches_eigvalsh(case):
     H = SOLVER_CASES[case]()
-    assert H.dtype == (np.float64 if case == "rademacher-gram" else np.complex128)
-    _assert_same_spectrum(t.hermitian_eigenvalues(H), np.linalg.eigvalsh(H))
+    real = case == "rademacher-gram" or case.endswith("-real")
+    assert H.dtype == (np.float64 if real else np.complex128)
+    # the scaled cases are compared at 1e-12 of their largest entry
+    unit = np.abs(H).max() if case.startswith("max-entry") else 1.0
+    _assert_same_spectrum(t.hermitian_eigenvalues(H) / unit, np.linalg.eigvalsh(H) / unit)
+
+
+def _lapacke_two_stage(H):
+    """?heevd_2stage / ?syevd_2stage through LAPACKE, at LAPACK's own band
+    width: the oracle of the staged solve."""
+    lib = ctypes.CDLL(simulation._openblas_paths()[0])
+    name = "zheevd_2stage" if np.iscomplexobj(H) else "dsyevd_2stage"
+    solve = getattr(lib, f"scipy_LAPACKE_{name}64_")
+    solve.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                      ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    solve.restype = ctypes.c_int64
+    A, w = np.array(H, order="C"), np.empty(len(H))
+    assert solve(102, b"N", b"L", len(A), A.ctypes.data, max(len(A), 1), w.ctypes.data) == 0
+    return w
+
+
+@needs_openblas
+def test_staged_solve_matches_lapacke_two_stage():
+    # real matrices take LAPACK's own band width, 32, so every bit agrees;
+    # complex ones move from 16 to BAND, within rounding
+    trial = [lambda d=d: t.gram_matrix(t.sample_base_vectors(3, 5, 200, d, seed=2))
+             for d in (t.PHASE, t.RADEMACHER)]
+    with simulation._ONE_BLAS_THREAD:
+        for case in [*SOLVER_CASES.values(), *trial]:
+            H = case()
+            got, want = t.hermitian_eigenvalues(H), _lapacke_two_stage(H)
+            if np.iscomplexobj(H):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want)
 
 
 @needs_openblas
@@ -681,7 +731,9 @@ def test_bundled_openblas_exports_the_fast_path():
         pytest.skip("numpy is not built on scipy-openblas")
     blas = simulation._openblas()
     assert blas is not None and all(callable(f) for f in blas)
-    # the thread count, the two-stage eigenvalue solves and the pivoted Cholesky factors
+    # the thread count, the two stages of the reduction, the tridiagonal
+    # eigenvalues and the pivoted Cholesky factors
     assert blas._fields == (
-        "get_num_threads", "set_num_threads", "zheevd_2stage", "dsyevd_2stage", "zpstrf", "dpstrf"
+        "get_num_threads", "set_num_threads", "zhetrd_he2hb", "dsytrd_sy2sb",
+        "zhetrd_hb2st", "dsytrd_sb2st", "dsterf", "zpstrf", "dpstrf",
     )
