@@ -19,7 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import combinatorics as comb
-from . import graphs, moments, mplaw, sequences, simulation
+from . import graphs, moments, mplaw, sequences
 
 #: p_max of ``tensormp verify <suite>`` when --p-max is not given.
 DEFAULT_P_MAX = {"sequences": 7, "graphs": 6, "stirling": 10, "moments": 8}
@@ -136,8 +136,9 @@ def pairwise_mean_trace_moment(
 ) -> float:
     """``moments.exact_mean_trace_moment`` as the sum over every canonical
     alpha, with no class reduction: Bell(p)^2 walk graphs."""
+    if min(n, k, m) < 1:
+        raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     tau_factor = moments._tau_factor(tau, m, p)
-    assert n >= 1 and k >= 1 and m >= 1
     total = Fraction(0)
     for alpha in sequences.enumerate_canonical(p):
         tau_fac = tau_factor(Counter(alpha).values())
@@ -162,8 +163,9 @@ def dense_matrix(vecs: np.ndarray, tau) -> np.ndarray:
 def dense_check(sample, vecs: np.ndarray, tau, P: int = 0) -> tuple[float, list[float]]:
     """One realization through its n^k x n^k matrix: the largest deviation of
     the sample's spectrum, zero atom included, from the dense spectrum, and
-    the dense (1/n^k) Tr M^p for p = 1..P."""
-    lam = simulation.hermitian_eigenvalues(dense_matrix(vecs, tau))
+    the dense (1/n^k) Tr M^p for p = 1..P. The dense spectrum comes from
+    ``numpy.linalg.eigvalsh``, not from the staged solve it checks."""
+    lam = np.linalg.eigvalsh(dense_matrix(vecs, tau))
     red = np.sort(np.concatenate([np.zeros(sample.zero_multiplicity), sample.nonzero_eigenvalues]))
     if red.shape != lam.shape:
         raise ValueError(f"sample has dimension {red.size}, the dense matrix {lam.size}")

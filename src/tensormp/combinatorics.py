@@ -19,7 +19,8 @@ def stirling2(n: int, k: int) -> int:
     with S(0, 0) = 1. Out-of-range arguments give 0, matching the usual
     convention S(n, k) = 0 for k > n or k = 0 < n.
     """
-    assert n >= 0 and k >= 0
+    if n < 0 or k < 0:
+        raise ValueError(f"need n, k >= 0, got {n}, {k}")
     if n == 0:
         return 1 if k == 0 else 0
     if k == 0 or k > n:
@@ -29,7 +30,8 @@ def stirling2(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Number of set partitions of an n-element set: sum_k S(n, k)."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     return sum(stirling2(n, k) for k in range(n + 1)) if n > 0 else 1
 
 
@@ -39,7 +41,8 @@ def falling_factorial(n: int, r: int) -> int:
     For integer n with 0 <= n < r the product hits zero, which is exactly
     the number of injections from an r-set into an n-set.
     """
-    assert r >= 0
+    if r < 0:
+        raise ValueError(f"need r >= 0, got {r}")
     out = 1
     for j in range(r):
         out *= n - j
@@ -52,7 +55,8 @@ def c1_count(s: int, p: int) -> int:
     Evaluates (1/p) C(p, s-1) C(p, s); the division is always exact
     (these are the Narayana numbers). Returns 0 for s outside 1..p.
     """
-    assert p >= 1
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
     if s < 1 or s > p:
         return 0
     num = math.comb(p, s - 1) * math.comb(p, s)

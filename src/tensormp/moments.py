@@ -360,8 +360,9 @@ def exact_mean_trace_moment(
     multiset. The sum over every alpha is the test oracle
     ``claims.pairwise_mean_trace_moment``.
     """
+    if min(n, k, m) < 1:
+        raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     tau_factor = _tau_factor(tau, m, p)
-    assert n >= 1 and k >= 1 and m >= 1
     table = _mu_table(rule, p)
     seqs = enumerate_canonical(p)
     cols = np.array(seqs) - 1

@@ -131,7 +131,8 @@ def quadrature_moment(p: int, c: float) -> float:
     The atom contributes nothing for p >= 1; p = 0 therefore returns the
     continuous mass min(1, c), a handy normalization self-check.
     """
-    assert p >= 0
+    if p < 0:
+        raise ValueError(f"need p >= 0, got {p}")
     return float(_integral(MPLaw(c), np.full(1, math.pi / 2.0), p)[0])
 
 

@@ -65,7 +65,8 @@ def sample_base_vectors(
     n: int, k: int, m: int, dist: EntryDistribution, seed: int, trial: int = 0
 ) -> np.ndarray:
     """(m, k, n) array of base vectors, each entry of modulus n^(-1/2)."""
-    assert n >= 1 and k >= 1 and m >= 1
+    if min(n, k, m) < 1:
+        raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     rng = trial_rng(seed, trial)
     return dist.sample(rng, (m, k, n)) / math.sqrt(n)
 
@@ -107,7 +108,8 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
     Hermitian, so every trace must be real; an imaginary residue beyond
     tolerance raises NumericalError.
     """
-    assert P >= 1
+    if P < 1:
+        raise ValueError(f"need P >= 1, got {P}")
     B = _weights(tau, G.shape[0])[:, None] * G
     power, out = B, []
     for p in range(1, P + 1):
@@ -120,7 +122,6 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
     return out
 
 
-_LAPACK_COL_MAJOR = 102
 BAND = 32  # band width KD of the two-stage reduction (BENCH_two_stage_band.json)
 
 _OpenBLAS = namedtuple(
@@ -149,8 +150,8 @@ def _openblas() -> _OpenBLAS | None:
     None when any of them is missing.
 
     The library is the one numpy.linalg already runs on. Resolved on first
-    use: importing tensormp loads nothing. The reductions and ``dsterf``
-    are gfortran subroutines, called through ``_fortran``.
+    use: importing tensormp loads nothing. Every LAPACK routine is bound
+    as its gfortran subroutine and called through ``_fortran``.
     """
     import ctypes
 
@@ -165,21 +166,15 @@ def _openblas() -> _OpenBLAS | None:
                 lib.scipy_zhetrd_hb2st_64_,
                 lib.scipy_dsytrd_sb2st_64_,
                 lib.scipy_dsterf_64_,
-                lib.scipy_LAPACKE_zpstrf64_,
-                lib.scipy_LAPACKE_dpstrf64_,
+                lib.scipy_zpstrf_64_,
+                lib.scipy_dpstrf_64_,
             )
         except (OSError, AttributeError):
             continue
         found.get_num_threads.argtypes, found.get_num_threads.restype = [], ctypes.c_int
         found.set_num_threads.argtypes, found.set_num_threads.restype = [ctypes.c_int], None
-        for f in found[2:7]:
+        for f in found[2:]:
             f.restype = None  # arguments are converted by ``_fortran``
-        # lapack_int is int64 in the 64_ ABI; the factors take
-        # (layout, uplo, n, a, lda, piv, rank, tol)
-        factor = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p,
-                  ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double]
-        for f in found[7:]:
-            f.argtypes, f.restype = factor, ctypes.c_int64
         return found
     return None
 
@@ -188,15 +183,16 @@ def _fortran(f, *args) -> int:
     """INFO of the gfortran LAPACK subroutine f, called with args and INFO.
 
     Every argument goes by reference: arrays by their data pointer, ints
-    as int64 (lapack_int in the 64_ ABI), bytes as CHARACTER*1, whose
-    hidden size_t lengths follow INFO.
+    as int64 (lapack_int in the 64_ ABI), floats as doubles, bytes as
+    CHARACTER*1, whose hidden size_t lengths follow INFO.
     """
     import ctypes
 
     info = ctypes.c_int64()
     refs = [
         ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
-        else a if isinstance(a, bytes) else ctypes.byref(ctypes.c_int64(a))
+        else a if isinstance(a, bytes)
+        else ctypes.byref(ctypes.c_double(a) if isinstance(a, float) else ctypes.c_int64(a))
         for a in args
     ]
     lengths = [ctypes.c_size_t(len(a)) for a in args if isinstance(a, bytes)]
@@ -241,12 +237,17 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+def _solver_copy(A) -> np.ndarray:
+    """A C-ordered float64 or complex128 copy of the array-like A: the one
+    copy and the one conversion the public solves make."""
+    A = np.asarray(A)
+    return np.array(A, dtype=np.result_type(A, np.float64), order="C")
+
+
 def hermitian_eigenvalues(H: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, leaving H unchanged:
-    ``_eigh_in_place`` on a C-ordered float64 or complex128 copy of H, the
-    one copy and the one conversion any solve makes."""
-    H = np.asarray(H)
-    return _eigh_in_place(np.array(H, dtype=np.result_type(H, np.float64), order="C"))
+    ``_eigh_in_place`` on the ``_solver_copy`` of H."""
+    return _eigh_in_place(_solver_copy(H))
 
 
 def _eigh_in_place(A: np.ndarray) -> np.ndarray:
@@ -340,9 +341,8 @@ def _psd_factor_in_place(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return H[:r], np.arange(m)
     assert H.dtype in (np.float64, np.complex128) and H.flags.c_contiguous and H.flags.writeable
     factor = blas.zpstrf if np.iscomplexobj(H) else blas.dpstrf
-    piv, rank = np.empty(m, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    info = factor(_LAPACK_COL_MAJOR, b"L", m, H.ctypes.data, max(m, 1),
-                  piv.ctypes.data, rank.ctypes.data, -1.0)
+    piv, rank, work = np.empty(m, dtype=np.int64), np.zeros(1, dtype=np.int64), np.empty(2 * m)
+    info = _fortran(factor, b"L", m, H, max(m, 1), piv, rank, -1.0, work)
     if info < 0:  # info > 0 only reports that H is rank-deficient
         raise NumericalError(f"pivoted Cholesky failed with info={info}")
     R = H[:int(rank[0])]
@@ -366,37 +366,37 @@ def _require_hermitian(H: np.ndarray) -> float:
     finite and Hermitian to a relative 1e-9:
     ||H - H^H||_F <= 1e-9 max(1, ||H||_F).
 
-    The largest |entry| is taken a row strip at a time and both Frobenius
-    norms come from ``_hermitian_residual``, a tile at a time, so no
-    temporary as large as H is made. The squared norm overflows once
-    entries pass about 1e154; only then are the norms taken again, of
-    H divided by its largest |entry|.
+    The largest |entry| and both Frobenius norms come from one pass of
+    ``_hermitian_residual``, a tile at a time, so no temporary as large
+    as H is made. The squared norm overflows once entries pass about
+    1e154; only then are the norms taken again, of H divided by its
+    largest |entry|.
     """
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        peak = max((float(np.abs(H[lo:lo + HERMITIAN_TILE]).max())
-                    for lo in range(0, H.shape[0], HERMITIAN_TILE)), default=0.0)
+        residual, norm, peak = _hermitian_residual(H)
         if not math.isfinite(peak):
             raise NumericalError("matrix has an entry that is not finite")
-        residual, norm = _hermitian_residual(H)
         if not math.isfinite(norm):
-            residual, norm = _hermitian_residual(H, peak)
+            residual, norm, _ = _hermitian_residual(H, peak)
     if residual > 1e-9 * max(1.0, norm):
         raise NumericalError("matrix is not Hermitian within tolerance")
     return peak
 
 
-def _hermitian_residual(H: np.ndarray, scale: float = 1.0) -> tuple[float, float]:
-    """(||H - H^H||_F, ||H||_F) of H / scale, summed over HERMITIAN_TILE
-    blocks: the norm over row strips, the residual over the lower block
-    triangle, each off-diagonal block standing for its mirror too."""
+def _hermitian_residual(H: np.ndarray, scale: float = 1.0) -> tuple[float, float, float]:
+    """(||H - H^H||_F, ||H||_F, max|entry|) of H / scale, summed over
+    HERMITIAN_TILE blocks: the norm and the largest |entry| over row
+    strips, the residual over the lower block triangle, each off-diagonal
+    block standing for its mirror too."""
     m = H.shape[0]
-    norm2 = resid2 = 0.0
+    norm2 = resid2 = peak = 0.0
     for lo in range(0, m, HERMITIAN_TILE):
         rows = slice(lo, lo + HERMITIAN_TILE)
         strip = H[rows] if scale == 1.0 else H[rows] / scale
         norm2 += np.vdot(strip, strip).real
+        peak = np.maximum(peak, np.abs(strip).max())  # Python's max would drop a NaN
         for lo2 in range(0, lo + 1, HERMITIAN_TILE):
             cols = slice(lo2, lo2 + HERMITIAN_TILE)
             d = np.conjugate(H[rows, cols])
@@ -404,7 +404,7 @@ def _hermitian_residual(H: np.ndarray, scale: float = 1.0) -> tuple[float, float
             if scale != 1.0:
                 d /= scale
             resid2 += (1 if lo2 == lo else 2) * np.vdot(d, d).real
-    return math.sqrt(resid2), math.sqrt(norm2)
+    return math.sqrt(resid2), math.sqrt(norm2), float(peak)
 
 
 @dataclass
@@ -425,11 +425,10 @@ class SpectrumSample:
 def esd(G: np.ndarray, tau, nk_scale: int, *, P: int = 0, seed: int | None = None,
         dims: tuple[int, int, int] | None = None) -> SpectrumSample:
     """Empirical spectral distribution of one realization from its Gram
-    matrix G, which is left untouched: ``_esd_in_place`` on a C-ordered
-    float64 or complex128 copy of G.
+    matrix G, which is left untouched: ``_esd_in_place`` on the
+    ``_solver_copy`` of G.
     """
-    G = np.array(G, dtype=np.result_type(G, np.float64), order="C")
-    return replace(_esd_in_place(G, tau, nk_scale, P=P), seed=seed, dims=dims)
+    return replace(_esd_in_place(_solver_copy(G), tau, nk_scale, P=P), seed=seed, dims=dims)
 
 
 def _esd_in_place(G, tau, nk_scale, *, P) -> SpectrumSample:
@@ -606,7 +605,8 @@ def run_trials(
     taken on the eigenvalues divided by v; for any other tau it compares
     the unscaled spectrum with the tau = 1 law, which is not its limit.
     """
-    assert trials >= 1
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
     nk = n ** k
     tau_coeffs = np.asarray(tau_coeffs, dtype=float)
     c_ref = c if c is not None else m / nk

@@ -5,11 +5,11 @@ a 2048-sample experiment), so it is computed once per session and shared
 by the convergence, goodness-of-fit, and concentration tests.
 """
 
-import os
-
 import pytest
 
 import tensormp as t
+from tensormp import simulation
+from tensormp.cli import _usable_cpus
 
 LADDER_SEED = 20260818
 LADDER_TRIALS = 20
@@ -28,6 +28,11 @@ def mc_ladder():
         m = round(LADDER_C * n**4)
         runs[n] = t.run_trials(
             n, 4, m, t.PHASE, (1.0,) * m, LADDER_P, LADDER_TRIALS, LADDER_SEED, c=LADDER_C,
-            threads=len(os.sched_getaffinity(0)),
+            threads=_usable_cpus(),
         )
     return runs
+
+
+needs_openblas = pytest.mark.skipif(
+    simulation._openblas() is None, reason="numpy does not ship the scipy-openblas library"
+)

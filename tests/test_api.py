@@ -1,5 +1,8 @@
 """The public names stay reachable as ``tensormp.<name>``."""
 
+import numpy as np
+import pytest
+
 import tensormp
 import tensormp.claims
 
@@ -25,3 +28,28 @@ def test_public_names_resolve():
 def test_dense_oracle_lives_in_claims():
     assert callable(tensormp.claims.dense_matrix) and callable(tensormp.claims.dense_check)
     assert not hasattr(tensormp, "dense_matrix")
+
+
+BAD_ARGUMENTS = {
+    "sample_base_vectors": lambda: tensormp.sample_base_vectors(0, 2, 4, tensormp.PHASE, 0),
+    "trace_moments": lambda: tensormp.trace_moments(np.eye(2), np.ones(2), 0, 2),
+    "run_trials": lambda: tensormp.run_trials(2, 2, 2, tensormp.PHASE, (1.0, 1.0), 2, 0, 0),
+    "quadrature_moment": lambda: tensormp.quadrature_moment(-1, 0.5),
+    "exact_mean_trace_moment": lambda: tensormp.exact_mean_trace_moment(
+        2, 0, 2, 2, tensormp.TauModel(coefficients=(1.0,)), tensormp.rademacher_rule()
+    ),
+    "pairwise_mean_trace_moment": lambda: tensormp.claims.pairwise_mean_trace_moment(
+        2, 0, 2, 2, tensormp.TauModel(coefficients=(1.0,)), tensormp.rademacher_rule()
+    ),
+    "stirling2": lambda: tensormp.stirling2(-1, 0),
+    "bell": lambda: tensormp.bell(-1),
+    "falling_factorial": lambda: tensormp.falling_factorial(5, -1),
+    "c1_count": lambda: tensormp.c1_count(1, 0),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_public_functions_refuse_bad_arguments(name):
+    # a ValueError, not an assert, so the check survives python -O
+    with pytest.raises(ValueError, match="need"):
+        BAD_ARGUMENTS[name]()

@@ -20,6 +20,8 @@ import tensormp
 from tensormp import claims, simulation
 from tensormp.cli import build_parser, main
 
+from conftest import needs_openblas
+
 
 def run(capsys, *argv):
     rc = main(list(argv))
@@ -537,11 +539,6 @@ def test_cli_import_does_not_load_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
-
-
-needs_openblas = pytest.mark.skipif(
-    simulation._openblas() is None, reason="numpy does not ship the scipy-openblas library"
-)
 
 
 def _same_bytes_for_every_blas_thread_count(tmp_path, argv):

@@ -16,6 +16,8 @@ from tensormp.claims import dense_check, dense_matrix
 from tensormp import simulation
 from tensormp.simulation import estimate_gram_bytes, histogram_rows, trial_rng
 
+from conftest import needs_openblas
+
 
 def test_entry_distribution_parse():
     assert EntryDistribution.parse("phase").label == "phase"
@@ -168,9 +170,10 @@ def test_tiled_hermitian_residual_matches_dense_norms(size, complex_):
         X = X + 1j * rng.standard_normal((size, size))
     for H in (X, X + X.conj().T):
         for scale in (1.0, 3.0):
-            residual, norm = simulation._hermitian_residual(H, scale)
+            residual, norm, peak = simulation._hermitian_residual(H, scale)
             dense = np.linalg.norm((H - H.conj().T) / scale), np.linalg.norm(H / scale)
             assert (residual, norm) == pytest.approx(dense, rel=1e-12, abs=0)
+            assert peak == np.abs(H / scale).max()
 
 
 @pytest.mark.parametrize(
@@ -278,11 +281,6 @@ def test_estimate_gram_bytes(monkeypatch):
             assert estimate_gram_bytes(m, 4096, signed, real=True) * 2 == full
 
 
-def _factor_workspace_bytes(m):
-    # ?pstrf's work array, malloced by LAPACKE out of tracemalloc's view: 2m reals
-    return 8 * 2 * m
-
-
 def _eigh_workspace_bytes(m):
     # numpy's complex eigh, malloced out of tracemalloc's view: its copy of H
     # and the eigenvalues, then zheevd's work (m^2 + 2m complex), rwork
@@ -300,7 +298,7 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
     real_factor, real_eigh, in_factor = simulation._psd_factor_in_place, np.linalg.eigh, [0]
 
     def factor(H):
-        in_factor[0] = tracemalloc.get_traced_memory()[0] + _factor_workspace_bytes(len(H))
+        in_factor[0] = tracemalloc.get_traced_memory()[0]
         return real_factor(H)
 
     def eigh(H):  # the fallback factor; its eigenpairs are traced when it returns
@@ -436,11 +434,6 @@ def test_run_trials_solves_the_smaller_side(monkeypatch, m, side):
     monkeypatch.setattr(simulation, "gram_matrix" if side == "tensor" else "tensor_esd", refuse)
     r = t.run_trials(3, 3, m, t.PHASE, (1.0,) * m, 2, 1, 4)
     assert r.outcomes[0].sample.total_dimension == 27
-
-
-needs_openblas = pytest.mark.skipif(
-    simulation._openblas() is None, reason="numpy does not ship the scipy-openblas library"
-)
 
 
 def _assert_same_spectrum(got, want):
@@ -614,6 +607,16 @@ def test_public_copies_convert_any_layout_and_dtype(monkeypatch, fallback):
         assert np.array_equal(given, before)
 
 
+def test_public_solves_take_nested_lists():
+    # both public solves convert their argument by the same rule
+    for _, copy in _converted_inputs():
+        nested = copy.tolist()
+        assert np.array_equal(t.hermitian_eigenvalues(nested), t.hermitian_eigenvalues(copy))
+        got, want = t.esd(nested, _signed(6), 6, P=3), t.esd(copy, _signed(6), 6, P=3)
+        assert np.array_equal(got.nonzero_eigenvalues, want.nonzero_eigenvalues)
+        assert got.trace_moments == want.trace_moments
+
+
 @pytest.mark.parametrize("fallback", [False, True], ids=["openblas", "fallback"])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 def test_psd_factor_reproduces_its_matrix_and_rank(monkeypatch, fallback, real):
@@ -651,7 +654,7 @@ def test_signed_gram_side_with_zero_and_wide_weights(monkeypatch, fallback, spec
         for seed in range(3):
             vecs = t.sample_base_vectors(n, k, m, d, seed=seed)
             s = t.esd(t.gram_matrix(vecs), tau, n**k)
-            lam = t.hermitian_eigenvalues(dense_matrix(vecs, tau))
+            lam = np.linalg.eigvalsh(dense_matrix(vecs, tau))
             peak = float(np.max(np.abs(lam)))
             assert dense_check(s, vecs, tau)[0] <= 1e-10 * max(1.0, peak)
             dense_zeros = np.count_nonzero(np.abs(lam) <= simulation.ZERO_TOL * peak)
