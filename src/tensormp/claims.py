@@ -57,11 +57,10 @@ def _claim(suite, name, scope, statement, cap=sequences.P_CAP):
 
 def _sequences(p_max: int, noncrossing: bool = False):
     """Each alpha of length p <= p_max (all, or the non-crossing ones) with
-    the list of every canonical sequence of length p and its 0-based array,
-    built once per p."""
+    the list of every canonical sequence of length p and its shared 0-based
+    array."""
     for p in range(1, p_max + 1):
-        seqs = sequences.enumerate_canonical(p)
-        cols = np.array(seqs) - 1
+        seqs, cols = sequences.enumerate_canonical(p), sequences.canonical_array(p)
         for a in seqs:
             if not (noncrossing and sequences.is_crossing(a)):
                 yield a, seqs, cols
@@ -95,19 +94,22 @@ def stirling_explicit(n: int, k: int) -> Fraction:
 def noncrossing_limit_sum(p: int, c: float, tau: moments.TauModel) -> float:
     """The limit moment by brute force: c^s * prod_t m_deg_t summed over the
     non-crossing canonical sequences alpha of length p, where deg_t counts
-    the positions of value t. Exact rational arithmetic, one float out."""
+    the positions of value t. The sequences are grouped by their s sorted
+    degrees, each group adding count * c^s * prod m_deg once. Exact
+    rational arithmetic, one float out."""
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
     cfrac = Fraction(c)
     mq = [None] + [Fraction(tau.moment(q)) for q in range(1, p + 1)]
-    total = Fraction(0)
-    for alpha in sequences.enumerate_canonical(p):
-        if sequences.is_crossing(alpha):
-            continue
-        prod = cfrac ** max(alpha)
-        for deg in Counter(alpha).values():
-            prod *= mq[deg]
-        total += prod
+    shapes = Counter(
+        tuple(sorted(Counter(alpha).values()))
+        for alpha in sequences.enumerate_canonical(p)
+        if not sequences.is_crossing(alpha)
+    )
+    total = sum(
+        count * cfrac ** len(degrees) * math.prod(mq[d] for d in degrees)
+        for degrees, count in shapes.items()
+    )
     return float(total)
 
 
@@ -118,24 +120,32 @@ def injection_sum_by_enumeration(degrees, taus) -> Fraction:
     return sum((math.prod(t**d for t, d in zip(phi, degrees)) for phi in images), Fraction(0))
 
 
-def pairwise_inner_factor(alpha, n: int, rule: moments.MixedMomentRule) -> Fraction:
-    """``moments.inner_factor`` as the walk-graph sum over every canonical i,
-    one ``graph_expectation_weight`` per pair."""
+def pairwise_counts(alpha, rule: moments.MixedMomentRule) -> list:
+    """[N_0, ..., N_p]: N_r sums the walk-graph weight n^p E(i, alpha) over
+    the canonical i with r distinct values, one ``graph_expectation_weight``
+    per i. A weight does not depend on n, so neither do the counts."""
     alpha = tuple(alpha)
-    p = len(alpha)
-    total = Fraction(0)
-    for i_seq in sequences.enumerate_canonical(p):
-        w = moments.graph_expectation_weight(i_seq, alpha, rule)
-        if w:
-            total += comb.falling_factorial(n, max(i_seq)) * w
-    return total / Fraction(n) ** p
+    counts = [0] * (len(alpha) + 1)
+    for i_seq in sequences.enumerate_canonical(len(alpha)):
+        counts[max(i_seq)] += moments.graph_expectation_weight(i_seq, alpha, rule)
+    return counts
+
+
+def pairwise_inner_factor(alpha, n: int, rule: moments.MixedMomentRule) -> Fraction:
+    """``moments.inner_factor`` as the walk-graph sum over every canonical i:
+    sum_r n^(r) N_r / n^p from ``pairwise_counts``."""
+    return moments._inner_from_counts(pairwise_counts(alpha, rule), n)
 
 
 def pairwise_mean_trace_moment(
-    n: int, k: int, m: int, p: int, tau: moments.TauModel, rule: moments.MixedMomentRule
+    n: int, k: int, m: int, p: int, tau: moments.TauModel, rule: moments.MixedMomentRule,
+    counts: Callable[[sequences.Canon], list] | None = None,
 ) -> float:
     """``moments.exact_mean_trace_moment`` as the sum over every canonical
-    alpha, with no class reduction: Bell(p)^2 walk graphs."""
+    alpha, with no class reduction: Bell(p)^2 walk graphs. Each alpha goes
+    through ``pairwise_inner_factor``, unless ``counts`` maps it to its
+    ``pairwise_counts`` for this rule, which lets a caller that evaluates
+    several n weigh each walk graph once."""
     if min(n, k, m) < 1:
         raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     tau_factor = moments._tau_factor(tau, m, p)
@@ -144,7 +154,11 @@ def pairwise_mean_trace_moment(
         tau_fac = tau_factor(Counter(alpha).values())
         if tau_fac == 0:
             continue
-        total += tau_fac * pairwise_inner_factor(alpha, n, rule) ** k
+        if counts is None:
+            inner = pairwise_inner_factor(alpha, n, rule)
+        else:
+            inner = moments._inner_from_counts(counts(alpha), n)
+        total += tau_fac * inner**k
     return float(total / Fraction(n) ** k)
 
 
@@ -172,17 +186,22 @@ def dense_check(sample, vecs: np.ndarray, tau, P: int = 0) -> tuple[float, list[
     return float(np.max(np.abs(lam - red))), [float(np.sum(lam**p)) / lam.size for p in range(1, P + 1)]
 
 
-def exhaustive_mean_trace(n: int, k: int, m: int, p: int, taus, alphabet) -> float:
-    """(1/n^k) Tr M^p averaged over every assignment of entries from alphabet.
+def exhaustive_mean_trace(n: int, k: int, m: int, p_max: int, taus, alphabet) -> list[float]:
+    """[(1/n^k) Tr M^p for p = 1..p_max], each averaged over every assignment
+    of entries from alphabet.
 
-    Builds all len(alphabet)^(n m k) matrices densely; tiny sizes only.
+    Builds each of the len(alphabet)^(n m k) matrices densely, once, and
+    takes its successive powers; tiny sizes only.
     """
-    total = 0.0
+    totals = [0.0] * p_max
     for entries in itertools.product(alphabet, repeat=n * m * k):
         xs = np.array(entries, dtype=complex).reshape(m, k, n) / math.sqrt(n)
-        M = dense_matrix(xs, taus)
-        total += float(np.trace(np.linalg.matrix_power(M, p)).real) / n**k
-    return total / len(alphabet) ** (n * m * k)
+        M = power = dense_matrix(xs, taus)
+        for j in range(p_max):
+            if j:
+                power = power @ M
+            totals[j] += float(np.trace(power).real) / n**k
+    return [total / len(alphabet) ** (n * m * k) for total in totals]
 
 
 # ------------------------------------------------------------- sequences
@@ -246,14 +265,13 @@ def _tree_partner(p_max):
 
 @_claim("graphs", "paired partner counts", "p<={p}", "constructed = classified, S(p+1-s, r) each")
 def _paired_counts(p_max):
-    blocks = functools.cache(sequences.enumerate_canonical)
     for a, _, cols in _sequences(p_max, noncrossing=True):
         p, s = len(a), max(a)
         paired = cols[graphs.classify_rows(a, cols) == graphs.GraphClass.PAIRED]
         partner = graphs.delta1_partner(a)
         for r in range(1, p + 1):
             brute = [tuple(i) for i in (paired[paired.max(axis=1) == r - 1] + 1).tolist()]
-            image = graphs.relabel_partner(partner, blocks(p + 1 - s, r))
+            image = graphs.relabel_partner(partner, sequences.enumerate_canonical(p + 1 - s, r))
             if image != brute or len(brute) != comb.stirling2(p + 1 - s, r):
                 yield f"alpha={a} r={r} constructed={image} classified={brute}"
 
@@ -354,9 +372,9 @@ def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
         dist = moments.EntryDistribution.parse(spec)
         tau, rule = moments.TauModel(coefficients=taus), dist.mixed_moment_rule()
         for k in ks:
-            for p in range(1, p_max + 1):
+            brutes = exhaustive_mean_trace(2, k, len(taus), p_max, taus, dist.alphabet)
+            for p, brute in enumerate(brutes, start=1):
                 exact = moments.exact_mean_trace_moment(2, k, len(taus), p, tau, rule)
-                brute = exhaustive_mean_trace(2, k, len(taus), p, taus, dist.alphabet)
                 if abs(exact - brute) > 1e-12:
                     yield f"{spec} tau={taus} k={k} p={p} exact={exact!r} exhaustive={brute!r}"
 
@@ -376,12 +394,14 @@ def _tau_factor_enumeration(p_max, taus=(0.5, 1.25, -2.0, 3.0)):
         "float-exact, rademacher and roots:3, tau = 0.5 + j/m, (n,k,m) = (2,3,3), (3,2,4)", cap=5)
 def _exact_pairwise(p_max, dims=((2, 3, 3), (3, 2, 4))):
     rules = (moments.rademacher_rule(), moments.roots_of_unity_rule(3))
+    # each rule's walk-graph counts serve every (n, k, m)
+    counts = [functools.cache(functools.partial(pairwise_counts, rule=rule)) for rule in rules]
     for n, k, m in dims:
         tau = moments.TauModel(coefficients=tuple(0.5 + j / m for j in range(m)))
-        for rule in rules:
+        for rule, rule_counts in zip(rules, counts):
             for p in range(1, p_max + 1):
                 got = moments.exact_mean_trace_moment(n, k, m, p, tau, rule)
-                want = pairwise_mean_trace_moment(n, k, m, p, tau, rule)
+                want = pairwise_mean_trace_moment(n, k, m, p, tau, rule, rule_counts)
                 if got != want:
                     yield f"{rule.name} n={n} k={k} m={m} p={p} exact={got!r} pairwise={want!r}"
 

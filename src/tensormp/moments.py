@@ -31,7 +31,7 @@ import numpy as np
 
 from .combinatorics import c1_count, falling_factorial
 from .graphs import build_graph, edge_counts
-from .sequences import Canon, canonicalize, enumerate_canonical
+from .sequences import Canon, canonical_array, canonicalize, enumerate_canonical
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,10 @@ class MixedMomentRule:
     The entry law must be centered with unit modulus, so mu(0,0) = 1,
     mu(1,1) = 1 and mu(1,0) = mu(0,1) = 0. The built-in rules return
     exact ints, which keeps the oracle's rational arithmetic exact.
+
+    Rules compare and hash by ``name`` only, since ``mu`` is a function:
+    two rules with one name and different mu are equal, so no cache may
+    be keyed on a rule.
     """
 
     name: str
@@ -284,8 +288,7 @@ def inner_factor(alpha, n: int, rule: MixedMomentRule) -> Fraction:
     """
     alpha = canonicalize(alpha)
     p = len(alpha)
-    cols = np.array(enumerate_canonical(p)) - 1
-    return _inner_from_counts(_column_counts(alpha, _mu_table(rule, p), cols), n)
+    return _inner_from_counts(_column_counts(alpha, _mu_table(rule, p), canonical_array(p)), n)
 
 
 def _rotation_classes(seqs: Sequence[Canon], reflect: bool) -> list[tuple[Canon, int]]:
@@ -364,8 +367,7 @@ def exact_mean_trace_moment(
         raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     tau_factor = _tau_factor(tau, m, p)
     table = _mu_table(rule, p)
-    seqs = enumerate_canonical(p)
-    cols = np.array(seqs) - 1
+    seqs, cols = enumerate_canonical(p), canonical_array(p)
     total = Fraction(0)
     for alpha, size in _rotation_classes(seqs, reflect=np.array_equal(table, table.T)):
         tau_fac = tau_factor(Counter(alpha).values())

@@ -13,7 +13,10 @@ documentation and 0-based in the code.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
+
+import numpy as np
 
 Canon = tuple[int, ...]
 
@@ -52,33 +55,50 @@ def enumerate_canonical(p: int, s: int | None = None) -> list[Canon]:
     With s given, keep only sequences with exactly s distinct values.
     The full list has Bell(p) entries; the filtered list has S(p, s).
     Lengths above P_CAP raise ValueError instead of silently enumerating
-    millions of tuples.
+    millions of tuples. The enumeration is memoized per p, and the
+    filtered lists are read off it, so each length is enumerated once per
+    process; every call returns a new list, which the caller may mutate.
     """
     if not 1 <= p <= P_CAP:
         raise ValueError(f"length {p} outside supported range 1..{P_CAP}")
     if s is not None and not 1 <= s <= p:
         return []
+    seqs, cols = _enumeration(p)
+    if s is None:
+        return list(seqs)
+    return [seqs[j] for j in np.flatnonzero(cols.max(axis=1) == s - 1)]
+
+
+def canonical_array(p: int) -> np.ndarray:
+    """The Bell(p) x p int64 array of ``enumerate_canonical(p)``, 0-based,
+    one sequence per row. Memoized and shared, so it is read-only."""
+    return _enumeration(p)[1]
+
+
+@functools.cache
+def _enumeration(p: int) -> tuple[tuple[Canon, ...], np.ndarray]:
+    """The canonical sequences of length p as tuples and as a read-only
+    0-based array, by depth-first extension of the prefix (1,)."""
+    if not 1 <= p <= P_CAP:
+        raise ValueError(f"length {p} outside supported range 1..{P_CAP}")
     out: list[Canon] = []
     prefix = [1]
 
     def extend(mx: int) -> None:
         if len(prefix) == p:
-            if s is None or mx == s:
-                out.append(tuple(prefix))
+            out.append(tuple(prefix))
             return
         # values tried in increasing order keeps the output lexicographic
         for v in range(1, mx + 2):
-            if s is not None:
-                new_mx = mx if v <= mx else v
-                # remaining positions must still be able to reach s values
-                if new_mx > s or new_mx + (p - len(prefix) - 1) < s:
-                    continue
             prefix.append(v)
             extend(max(mx, v))
             prefix.pop()
 
     extend(1)
-    return out
+    cols = np.array(out, dtype=np.int64)
+    cols -= 1
+    cols.flags.writeable = False
+    return tuple(out), cols
 
 
 def is_crossing(alpha: Iterable[int]) -> bool:

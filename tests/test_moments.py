@@ -20,6 +20,7 @@ from tensormp import GraphClass, MixedMomentRule, TauModel, claims, moments
 from tensormp.claims import (
     CLAIMS,
     noncrossing_limit_sum,
+    pairwise_counts,
     pairwise_inner_factor,
     pairwise_mean_trace_moment,
 )
@@ -185,20 +186,34 @@ def test_inner_factor_collapse_for_phase():
 
 
 @pytest.mark.parametrize("rule", [*SYMMETRIC_RULES, SKEW], ids=lambda r: r.name)
-def test_inner_factor_equals_pairwise_sum(rule, monkeypatch):
-    # the walk-graph weight does not depend on n, so each (i, alpha) is weighed once
-    weigh, weights = t.graph_expectation_weight, {}
-
-    def memo(i_seq, alpha, rule_):
-        if (i_seq, alpha) not in weights:
-            weights[i_seq, alpha] = weigh(i_seq, alpha, rule_)
-        return weights[i_seq, alpha]
-
-    monkeypatch.setattr(moments, "graph_expectation_weight", memo)
+def test_inner_factor_equals_pairwise_sum(rule):
+    # the walk-graph weight does not depend on n, so each (i, alpha) is weighed
+    # once and its counts serve every n, as in pairwise_inner_factor
     for p in range(1, 7):
         for a in t.enumerate_canonical(p):
+            counts = pairwise_counts(a, rule)
             for n in range(1, 6):
-                assert t.inner_factor(a, n, rule) == pairwise_inner_factor(a, n, rule), (a, n)
+                assert t.inner_factor(a, n, rule) == moments._inner_from_counts(counts, n), (a, n)
+
+
+def test_no_cache_is_keyed_on_a_rule():
+    # rules compare and hash by name only, so SKEW renamed to a symmetric
+    # rule's name equals that rule; each must still get its own weights
+    rad = t.rademacher_rule()
+    twin = MixedMomentRule(rad.name, SKEW.mu)
+    assert twin == rad and hash(twin) == hash(rad)
+    a, tau = (1, 1, 2, 1, 2, 3), TauModel(coefficients=(0.5, 1.25, 2.0))
+
+    def values(rule):
+        return pairwise_inner_factor(a, 2, rule), pairwise_mean_trace_moment(2, 2, 3, 4, tau, rule)
+
+    # a dict keyed on the rule would make the same mistake, so pair them in a list
+    want = [(rad, values(rad)), (twin, values(SKEW))]
+    assert want[0][1] != want[1][1]
+    for order in (want, want[::-1]):
+        for rule, own in order:
+            assert values(rule) == own
+            assert t.inner_factor(a, 2, rule) == own[0]
 
 
 def test_skew_rule_is_not_reduced_by_reversal(monkeypatch):

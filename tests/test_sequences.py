@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from tensormp import (
     is_crossing,
 )
 from tensormp.claims import CLAIMS, crossing_by_quartic_scan
+from tensormp.sequences import canonical_array
 
 seqs = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=9).map(tuple)
 
@@ -67,11 +69,36 @@ def test_enumeration_s_filter_partitions_whole():
         assert sorted(union) == enumerate_canonical(p)
 
 
+def test_enumeration_cache_cannot_be_corrupted():
+    # each length is enumerated once per process; callers get their own lists
+    for args in ((6,), (6, 3)):
+        got = enumerate_canonical(*args)
+        want = list(got)
+        got[0] = (7,)
+        got.append((9,))
+        del got[1]
+        assert enumerate_canonical(*args) == want
+    for p in range(1, 9):
+        full = enumerate_canonical(p)
+        for s in range(1, p + 1):
+            assert enumerate_canonical(p, s) == [a for a in full if max(a) == s]
+        assert np.array_equal(canonical_array(p), np.array(full) - 1)
+    cols = canonical_array(5)
+    with pytest.raises(ValueError):
+        cols[0, 0] = 3
+    with pytest.raises(ValueError):
+        cols += 1
+    assert canonical_array(5)[0].tolist() == [0] * 5
+
+
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
         enumerate_canonical(0)
     with pytest.raises(ValueError):
         enumerate_canonical(P_CAP + 1)
+    for p in (0, P_CAP + 1):
+        with pytest.raises(ValueError):
+            canonical_array(p)
     assert enumerate_canonical(3, 0) == []
     assert enumerate_canonical(3, 4) == []
 
