@@ -1,9 +1,9 @@
 """The claims ``tensormp verify`` checks, each stated once.
 
 Each claim is a step of the moment-method proof checked against brute
-force. ``tensormp verify <suite>`` runs a suite at its default p_max; the
-tests run the same claims at their stated ranges, passing wider grids as
-keyword arguments. The brute-force oracles are defined here, once.
+force. ``tensormp verify <suite>`` runs each claim at min(p_max, cap);
+the tests run the same claims at their stated ranges, passing wider grids
+as keyword arguments. The brute-force oracles are defined here, once.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ DEFAULT_P_MAX = {"sequences": 7, "graphs": 6, "stirling": 10, "moments": 8}
 
 @dataclass(frozen=True)
 class Claim:
-    """A statement and its check; ``{p}`` in scope is min(p_max, cap)."""
+    """A statement, its check, and the largest p ``verify`` runs it at."""
 
     suite: str
     name: str
@@ -36,19 +36,19 @@ class Claim:
     check: Callable[..., Iterable]
     cap: int
 
-    def label(self, p_max: int) -> str:
-        return f"{self.name} {self.scope.format(p=min(p_max, self.cap))}"
+    def label(self, p: int) -> str:
+        return f"{self.name} {self.scope.format(p=p)}"
 
-    def run(self, p_max: int, **grid):
-        """The first counterexample up to min(p_max, cap), or None."""
-        return next(iter(self.check(min(p_max, self.cap), **grid)), None)
+    def run(self, p: int, **grid):
+        """The first counterexample up to p, or None."""
+        return next(iter(self.check(p, **grid)), None)
 
 
 #: Every claim by name, grouped by suite in report order.
 CLAIMS: dict[str, Claim] = {}
 
 
-def _claim(suite, name, scope, statement, cap=sequences.P_CAP):
+def _claim(suite, name, statement, scope="p<={p}", cap=sequences.P_CAP):
     def register(check):
         CLAIMS[name] = Claim(suite, name, scope, statement, check, cap)
         return check
@@ -206,7 +206,7 @@ def exhaustive_mean_trace(n: int, k: int, m: int, p_max: int, taus, alphabet) ->
 
 # ------------------------------------------------------------- sequences
 
-@_claim("sequences", "canonical counts", "p<={p}", "Bell(p) in all, S(p,s) with s values")
+@_claim("sequences", "canonical counts", "Bell(p) in all, S(p,s) with s values")
 def _canonical_counts(p_max):
     for p in range(1, p_max + 1):
         for s in (None, *range(1, p + 1)):
@@ -216,7 +216,7 @@ def _canonical_counts(p_max):
                 yield f"p={p} s={s} enumerated={got} formula={want}"
 
 
-@_claim("sequences", "canonical order", "p<={p}", "canonicalize(a) == a, lexicographic order")
+@_claim("sequences", "canonical order", "canonicalize(a) == a, lexicographic order")
 def _canonical_order(p_max):
     for p in range(1, p_max + 1):
         seqs = sequences.enumerate_canonical(p)
@@ -225,14 +225,14 @@ def _canonical_order(p_max):
             yield f"p={p} enumeration out of order"
 
 
-@_claim("sequences", "degree sums", "p<={p}", "sum_t degree = p")
+@_claim("sequences", "degree sums", "sum_t degree = p")
 def _degree_sums(p_max):
     for a, *_ in _sequences(p_max):
         if sum(sequences.degree(a, t) for t in range(1, max(a) + 1)) != len(a):
             yield f"alpha={a}"
 
 
-@_claim("sequences", "crossing scan agreement", "p<={p}", "is_crossing = quartic scan", cap=8)
+@_claim("sequences", "crossing scan agreement", "is_crossing = quartic scan", cap=8)
 def _crossing_scan(p_max):
     for a, *_ in _sequences(p_max):
         if sequences.is_crossing(a) != crossing_by_quartic_scan(a):
@@ -241,7 +241,7 @@ def _crossing_scan(p_max):
 
 # ---------------------------------------------------------------- graphs
 
-@_claim("graphs", "non-crossing counts", "p<={p}", "N(p,s) = C(p,s-1) C(p,s)/p, total Catalan(p)")
+@_claim("graphs", "non-crossing counts", "N(p,s) = C(p,s-1) C(p,s)/p, total Catalan(p)")
 def _noncrossing_counts(p_max):
     for p in range(1, p_max + 1):
         noncross = [a for a in sequences.enumerate_canonical(p) if not sequences.is_crossing(a)]
@@ -254,7 +254,7 @@ def _noncrossing_counts(p_max):
             yield f"p={p} enumerated={len(noncross)} Catalan={catalan}"
 
 
-@_claim("graphs", "tree partner uniqueness", "p<={p}", "one iff non-crossing, the constructed one")
+@_claim("graphs", "tree partner uniqueness", "one iff non-crossing, the constructed one")
 def _tree_partner(p_max):
     for a, _, cols in _sequences(p_max):
         found, partner = brute_partner_search(a, cols), graphs.delta1_partner(a)
@@ -263,7 +263,7 @@ def _tree_partner(p_max):
             yield f"alpha={a} found={found} partner={partner}"
 
 
-@_claim("graphs", "paired partner counts", "p<={p}", "constructed = classified, S(p+1-s, r) each")
+@_claim("graphs", "paired partner counts", "constructed = classified, S(p+1-s, r) each")
 def _paired_counts(p_max):
     for a, _, cols in _sequences(p_max, noncrossing=True):
         p, s = len(a), max(a)
@@ -276,14 +276,14 @@ def _paired_counts(p_max):
                 yield f"alpha={a} r={r} constructed={image} classified={brute}"
 
 
-@_claim("graphs", "dichotomy", "p<={p}", "paired or single only", cap=6)
+@_claim("graphs", "dichotomy", "paired or single only", cap=6)
 def _dichotomy(p_max):
     for a, seqs, cols in _sequences(p_max, noncrossing=True):
         for j in np.flatnonzero(graphs.classify_rows(a, cols) == graphs.GraphClass.OTHER):
             yield f"alpha={a} i={seqs[j]}"
 
 
-@_claim("graphs", "tree partner diagnostics", "p<={p}", "no consecutive pairs")
+@_claim("graphs", "tree partner diagnostics", "no consecutive pairs")
 def _partner_diagnostics(p_max):
     for a, *_ in _sequences(p_max, noncrossing=True):
         g = graphs.build_graph(graphs.delta1_partner(a), a)
@@ -293,7 +293,7 @@ def _partner_diagnostics(p_max):
 
 # -------------------------------------------------------------- stirling
 
-@_claim("stirling", "recurrence vs explicit sum", "n<=20", "exact equality for k <= n+1")
+@_claim("stirling", "recurrence vs explicit sum", "exact equality for k <= n+1", scope="n<=20")
 def _explicit_sum(p_max):
     for n in range(21):
         for k in range(n + 2):
@@ -301,7 +301,8 @@ def _explicit_sum(p_max):
                 yield f"n={n} k={k} recurrence={comb.stirling2(n, k)}"
 
 
-@_claim("stirling", "partition collapse", "q<={p}", "sum_r n^(r) S(q,r) = n^q, 0 <= n <= 10", cap=10)
+@_claim("stirling", "partition collapse", "sum_r n^(r) S(q,r) = n^q, 0 <= n <= 10",
+        scope="q<={p}", cap=10)
 def _partition_collapse(p_max):
     # the falling-factorial identity; it removes the free i-sum of the moment expansion
     for q in range(1, p_max + 1):
@@ -311,14 +312,14 @@ def _partition_collapse(p_max):
                 yield f"n={n} q={q}"
 
 
-@_claim("stirling", "bell totals", "n<=14", "bell = sum_k S(n,k)")
+@_claim("stirling", "bell totals", "bell = sum_k S(n,k)", scope="n<=14")
 def _bell_totals(p_max):
     for n in range(15):
         if comb.bell(n) != sum(comb.stirling2(n, k) for k in range(n + 1)):
             yield f"n={n}"
 
 
-@_claim("stirling", "narayana symmetry", "p<=11", "N(p,s) = N(p,p+1-s)")
+@_claim("stirling", "narayana symmetry", "N(p,s) = N(p,p+1-s)", scope="p<=11")
 def _narayana_symmetry(p_max):
     for p in range(1, 12):
         for s in range(1, p + 1):
@@ -328,7 +329,7 @@ def _narayana_symmetry(p_max):
 
 # --------------------------------------------------------------- moments
 
-@_claim("moments", "limit equals narayana sum", "p<={p}", "float-exact at c = 0.1, 0.5, 1, 2")
+@_claim("moments", "limit equals narayana sum", "float-exact at c = 0.1, 0.5, 1, 2")
 def _limit_narayana(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
     tau = moments.TauModel.constant(1.0)
     for c in cs:
@@ -338,7 +339,7 @@ def _limit_narayana(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
                 yield f"c={c} p={p} limit={got!r} narayana={want!r}"
 
 
-@_claim("moments", "limit equals non-crossing sum", "p<={p}", "float-exact at c = 0.5, tau = 0.5, 1, 1.5, 2")
+@_claim("moments", "limit equals non-crossing sum", "float-exact at c = 0.5, tau = 0.5, 1, 1.5, 2")
 def _limit_noncrossing(p_max):
     tau = moments.TauModel(coefficients=(0.5, 1.0, 1.5, 2.0))
     for p in range(1, p_max + 1):
@@ -347,7 +348,7 @@ def _limit_noncrossing(p_max):
             yield f"p={p} limit={got!r} non-crossing={want!r}"
 
 
-@_claim("moments", "quadrature moments", "p<={p}", "abs error <= 1e-6 at c = 0.1, 0.5, 1, 2", cap=6)
+@_claim("moments", "quadrature moments", "abs error <= 1e-6 at c = 0.1, 0.5, 1, 2", cap=6)
 def _quadrature(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
     for c in cs:
         for p in range(1, p_max + 1):
@@ -356,16 +357,16 @@ def _quadrature(p_max, cs=(0.1, 0.5, 1.0, 2.0)):
                 yield f"c={c} p={p} quadrature={got!r} narayana={want!r}"
 
 
-@_claim("moments", "law mass", "1e-8<=c<=1e300", "mass min(1, c), rel error <= 1e-12")
-def _law_mass(p_max, cs=(1e-8, 0.25, 0.99, 0.9999, 1 - 1e-8, 1.0, 1 + 1e-8, 1.0001, 2.0,
-                         1e8, 1e16, 1e30, 1e100, 1e300)):
-    for c in cs:
+@_claim("moments", "law mass", "mass min(1, c), rel error <= 1e-12", scope="1e-8<=c<=1e300")
+def _law_mass(p_max):
+    for c in (1e-8, 0.25, 0.99, 0.9999, 1 - 1e-8, 1.0, 1 + 1e-8, 1.0001, 2.0,
+              1e8, 1e16, 1e30, 1e100, 1e300):
         mass = mplaw.quadrature_moment(0, c)
         if abs(mass - min(1.0, c)) > 1e-12 * min(1.0, c):
             yield f"c={c} mass={mass!r}"
 
 
-@_claim("moments", "exact oracle vs exhaustive", "p<={p}", "abs error <= 1e-12 at n=m=2", cap=3)
+@_claim("moments", "exact oracle vs exhaustive", "abs error <= 1e-12 at n=m=2", cap=3)
 def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
     # a case is (entry law, tau coefficients, tensor legs k); n = 2, m = len(tau)
     for spec, taus, ks in cases:
@@ -379,10 +380,10 @@ def _exhaustive(p_max, cases=(("rademacher", (1.0, 1.0), (1, 2)),)):
                     yield f"{spec} tau={taus} k={k} p={p} exact={exact!r} exhaustive={brute!r}"
 
 
-@_claim("moments", "tau factor equals injection enumeration", "p<={p}",
+@_claim("moments", "tau factor equals injection enumeration",
         "exact, every degree multiset of sum <= p, tau = 0.5, 1.25, -2, 3", cap=6)
-def _tau_factor_enumeration(p_max, taus=(0.5, 1.25, -2.0, 3.0)):
-    # at m = 4 every multiset of more than 4 degrees checks the zero case
+def _tau_factor_enumeration(p_max):
+    taus = (0.5, 1.25, -2.0, 3.0)  # m = 4: each multiset of over 4 degrees checks the zero case
     tau_factor = moments._tau_factor(moments.TauModel(coefficients=taus), len(taus), p_max)
     for degrees in sorted({tuple(sorted(Counter(a).values())) for a, *_ in _sequences(p_max)}):
         got, want = tau_factor(degrees), injection_sum_by_enumeration(degrees, taus)
@@ -390,13 +391,13 @@ def _tau_factor_enumeration(p_max, taus=(0.5, 1.25, -2.0, 3.0)):
             yield f"degrees={degrees} recursion={got} enumeration={want}"
 
 
-@_claim("moments", "exact oracle equals pairwise sum", "p<={p}",
+@_claim("moments", "exact oracle equals pairwise sum",
         "float-exact, rademacher and roots:3, tau = 0.5 + j/m, (n,k,m) = (2,3,3), (3,2,4)", cap=5)
-def _exact_pairwise(p_max, dims=((2, 3, 3), (3, 2, 4))):
+def _exact_pairwise(p_max):
     rules = (moments.rademacher_rule(), moments.roots_of_unity_rule(3))
     # each rule's walk-graph counts serve every (n, k, m)
     counts = [functools.cache(functools.partial(pairwise_counts, rule=rule)) for rule in rules]
-    for n, k, m in dims:
+    for n, k, m in ((2, 3, 3), (3, 2, 4)):
         tau = moments.TauModel(coefficients=tuple(0.5 + j / m for j in range(m)))
         for rule, rule_counts in zip(rules, counts):
             for p in range(1, p_max + 1):
@@ -406,7 +407,7 @@ def _exact_pairwise(p_max, dims=((2, 3, 3), (3, 2, 4))):
                     yield f"{rule.name} n={n} k={k} m={m} p={p} exact={got!r} pairwise={want!r}"
 
 
-@_claim("moments", "phase weight iff paired", "p<={p}", "nonzero on paired graphs only", cap=5)
+@_claim("moments", "phase weight iff paired", "nonzero on paired graphs only", cap=5)
 def _phase_weight(p_max):
     phase = moments.uniform_phase_rule()
     for a, seqs, cols in _sequences(p_max):
@@ -416,7 +417,7 @@ def _phase_weight(p_max):
                 yield f"i={i} alpha={a}"
 
 
-@_claim("moments", "phase inner factor collapse", "p<={p}", "n^(1-s) at n=5", cap=6)
+@_claim("moments", "phase inner factor collapse", "n^(1-s) at n=5", cap=6)
 def _inner_factor(p_max, ns=(5,)):
     phase = moments.uniform_phase_rule()
     for n in ns:
@@ -425,7 +426,7 @@ def _inner_factor(p_max, ns=(5,)):
                 yield f"n={n} alpha={a}"
 
 
-@_claim("moments", "fixed-n limit", "p<={p}",
+@_claim("moments", "fixed-n limit",
         "n=2, k=64, m=2^63: phase = MP, rademacher = Poisson(c), rel error <= 1e-8", cap=5)
 def _fixed_n_limit(p_max):
     # the paper's regime, k -> infinity at fixed n; at n = 2 every +-1 tensor is a
@@ -441,12 +442,12 @@ def _fixed_n_limit(p_max):
             yield f"p={p} phase={phase!r} mp={mp!r} rademacher={rad!r} poisson={poisson!r}"
 
 
-@_claim("moments", "crossing decay", "p<={p}",
+@_claim("moments", "crossing decay",
         "n^(s-1) inner factor <= (2n-1)/n^2 < 1 for crossing alpha, phase, n=2,3", cap=5)
-def _crossing_decay(p_max, ns=(2, 3)):
+def _crossing_decay(p_max):
     # non-crossing alpha give exactly 1 (the collapse above), so crossing ones vanish as k grows
     phase = moments.uniform_phase_rule()
-    for n in ns:
+    for n in (2, 3):
         for a, *_ in _sequences(p_max):
             if sequences.is_crossing(a):
                 r = Fraction(n) ** (max(a) - 1) * moments.inner_factor(a, n, phase)
@@ -454,7 +455,7 @@ def _crossing_decay(p_max, ns=(2, 3)):
                     yield f"n={n} alpha={a} r={r}"
 
 
-@_claim("moments", "rademacher crossing persistence", "p<={p}",
+@_claim("moments", "rademacher crossing persistence",
         "crossing alpha, rademacher: n^(s-1) inner factor = 1 at n=2, max 7/9 per p at n=3", cap=5)
 def _rademacher_crossing(p_max):
     # at n = 2 no crossing alpha decays as k grows, which is why Rademacher

@@ -206,9 +206,8 @@ def cmd_verify(args) -> int:
     suite = [c for c in claims.CLAIMS.values() if c.suite == args.suite]
     lines = []
     for claim in suite:
-        t0 = time.perf_counter()
-        bad = claim.run(p_max)
-        label = claim.label(p_max)
+        p, t0 = min(p_max, claim.cap), time.perf_counter()
+        bad, label = claim.run(p), claim.label(p)
         print(f"{time.perf_counter() - t0:8.3f}s  {label}", file=sys.stderr)
         lines.append(f"PASS {label}: {claim.statement}" if bad is None else f"FAIL {label}: {bad}")
     n_fail = sum(1 for line in lines if line.startswith("FAIL"))

@@ -3,5 +3,5 @@
 
 class NumericalError(RuntimeError):
     """A numeric result failed a consistency check (imaginary residue,
-    quadrature failure, solver trouble). Distinct from bad usage so the
+    trace mismatch, solver trouble). Distinct from bad usage so the
     command line can map it to its own exit code."""

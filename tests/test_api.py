@@ -45,6 +45,11 @@ BAD_ARGUMENTS = {
     "bell": lambda: tensormp.bell(-1),
     "falling_factorial": lambda: tensormp.falling_factorial(5, -1),
     "c1_count": lambda: tensormp.c1_count(1, 0),
+    "mp_moment": lambda: tensormp.mp_moment(2, 0.0),
+    "carleman_check": lambda: tensormp.carleman_check([1.0], 0.0),
+    "noncrossing_limit_sum": lambda: tensormp.claims.noncrossing_limit_sum(
+        2, 0.0, tensormp.TauModel.constant()
+    ),
 }
 
 

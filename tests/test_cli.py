@@ -52,6 +52,17 @@ def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     assert "OVERALL FAIL suite=sequences claims=4 failed=1" in out
 
 
+def test_verify_applies_the_cap_and_run_takes_p_as_given(monkeypatch, capsys):
+    seen = []
+    claim = dataclasses.replace(
+        claims.CLAIMS["degree sums"], check=lambda p: seen.append(p) or [], cap=3
+    )
+    assert claim.run(5) is None and claim.label(5) == "degree sums p<=5" and seen == [5]
+    monkeypatch.setitem(claims.CLAIMS, claim.name, claim)
+    rc, out, _ = run(capsys, "verify", "sequences", "--p-max", "5")
+    assert rc == 0 and "PASS degree sums p<=3: " in out and seen == [5, 3]
+
+
 def test_verify_report_is_deterministic(tmp_path, capsys):
     # per-claim wall times go to stderr, never into the report
     argv = ["verify", "sequences", "--p-max", "4", "--out", str(tmp_path), "--force"]
@@ -495,10 +506,22 @@ def test_simulate_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
         "mplaw --c 0.5 --x-max nan",
         "mplaw --c 1.79e308",  # the default x_max = 1.05 b overflows
         "simulate --n 2 --k 1 --m 2 --seed -1",
+        "moments --c 1 --tau file:{empty}",
+        "moments --c 1 --tau moments:{empty}",
+        "simulate --n 2 --k 1 --m 3 --tau file:{two}",
+        "moments --c 1 --config {array}",
+        "moments --c 1 --tau moments:{two} --n 2 --k 1 --m 2",
+        "simulate --n 2 --k 1",
+        "simulate --n 2 --k 1 --m 2 --tau moments:{two}",
+        "mplaw --c 1 --x-min 2 --x-max 1",
     ],
 )
 def test_bad_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setattr(simulation, "run_trials", no_trial)
+    files = {"empty": "", "two": "1.0\n2.0\n", "array": "[1, 2]"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = argv.format(**{name: tmp_path / name for name in files})
     rc, out, err = run(capsys, *argv.split(), "--out", str(tmp_path / "out"))
     assert rc == 2 and out == ""
     assert err.startswith("usage error: ") and "Traceback" not in err
@@ -512,6 +535,27 @@ def test_config_file_values_are_checked(tmp_path, capsys):
     cfg.write_text(json.dumps({"n": 2, "k": 1, "m": 2, "bins": 0}))
     rc, _, err = run(capsys, "simulate", "--config", str(cfg))
     assert rc == 2 and "usage error: --bins=0 must be >= 1" in err
+
+
+def test_config_file_sets_on_off_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    argv = "simulate --n 2 --k 1 --m 2 --trials 1 --p-max 1 --config".split()
+    for value, header in ((True, "trial,p,value,dense_value,abs_diff"), (False, "trial,p,value")):
+        cfg.write_text(json.dumps({"dense_check": value}))
+        rc, _, _ = run(capsys, *argv, str(cfg), "--out", str(tmp_path / str(value)))
+        (mom,) = (tmp_path / str(value)).glob("*_trial_moments.csv")
+        assert rc == 0 and mom.read_text().split("\n")[1] == header
+    cfg.write_text(json.dumps({"dense_check": "yes"}))
+    rc, _, err = run(capsys, *argv, str(cfg))
+    assert rc == 2 and "usage error: --config key 'dense_check' must be true or false" in err
+
+
+def test_simulate_trace_mismatch_is_numerical_error(tmp_path, monkeypatch, capsys):
+    eigh = simulation._eigh_in_place
+    monkeypatch.setattr(simulation, "_eigh_in_place", lambda A: eigh(A) + 1)
+    rc, out, err = run(capsys, *"simulate --n 2 --k 1 --m 2 --trials 1 --out".split(), str(tmp_path))
+    assert rc == 3 and out == "" and "numerical failure: trace mismatch" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mplaw_writes_file(tmp_path, capsys):

@@ -75,6 +75,10 @@ def test_limiting_moment_beyond_enumeration_cap():
 def test_tau_model_validation():
     with pytest.raises(ValueError):
         TauModel()
+    with pytest.raises(ValueError, match="empty coefficient list"):
+        TauModel(coefficients=())
+    with pytest.raises(ValueError, match="must be >= 1"):
+        TauModel.constant().moment(0)
     tau = TauModel(coefficients=(1.0, 2.0, 3.0))
     assert tau.moment(1) == 2.0
     assert tau.moment(2) == float(Fraction(14, 3))
@@ -146,8 +150,7 @@ def test_exact_oracle_pinned_past_p6():
 
 
 def test_tau_factor_equals_injection_enumeration_claim():
-    # the claim's cap is 6; its check runs at p = 7 here
-    assert next(iter(CLAIMS["tau factor equals injection enumeration"].check(7)), None) is None
+    assert CLAIMS["tau factor equals injection enumeration"].run(7) is None
     taus = (0.5, 1.25, -2.0, 3.0)
     assert claims.injection_sum_by_enumeration((1, 1, 1, 1, 1), taus) == 0
     assert claims.injection_sum_by_enumeration((2,), taus) == Fraction(237, 16)
@@ -230,12 +233,11 @@ def test_skew_rule_is_not_reduced_by_reversal(monkeypatch):
 
 
 def test_exact_oracle_equals_pairwise_sum_claim():
-    assert next(iter(CLAIMS["exact oracle equals pairwise sum"].check(6)), None) is None
+    assert CLAIMS["exact oracle equals pairwise sum"].run(6) is None
 
 
 def test_rademacher_crossing_persistence_claim():
-    # the claim's cap is 5; its check runs at p = 6 here
-    assert next(iter(CLAIMS["rademacher crossing persistence"].check(6)), None) is None
+    assert CLAIMS["rademacher crossing persistence"].run(6) is None
     # the phase rule decays at the same crossing alpha
     a = (1, 2, 1, 2)
     assert 2 * t.inner_factor(a, 2, t.rademacher_rule()) == 1

@@ -171,6 +171,11 @@ def test_ks_reads_the_capped_law_above_the_support(c):
     assert ks == c
 
 
+def test_ks_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="empty sample"):
+        t.ks_distance(_sample([], zeros=0), 0.5)
+
+
 def test_ks_detects_shift():
     c = 0.5
     law = MPLaw(c)

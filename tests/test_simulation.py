@@ -140,6 +140,21 @@ def test_hermitian_eigenvalues_known_matrices():
     assert np.allclose(t.hermitian_eigenvalues(H), expect, atol=1e-12)
 
 
+def test_trace_moments_refuse_an_imaginary_trace():
+    with pytest.raises(NumericalError, match="imaginary residue"):
+        t.trace_moments(np.array([[1.0 + 1.0j]]), np.ones(1), 1, 1)
+
+
+@needs_openblas
+def test_lapack_failure_is_numerical_error(monkeypatch):
+    fortran = simulation._fortran
+    monkeypatch.setattr(simulation, "_fortran", lambda f, *args: fortran(f, *args) or -1)
+    with pytest.raises(NumericalError, match="eigensolve failed with info=-1"):
+        simulation._eigh_in_place(np.eye(3))
+    with pytest.raises(NumericalError, match="pivoted Cholesky failed with info=-1"):
+        simulation._psd_factor_in_place(np.eye(3))
+
+
 def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NumericalError):
         t.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
