@@ -123,12 +123,17 @@ def injection_sum_by_enumeration(degrees, taus) -> Fraction:
 def pairwise_counts(alpha, rule: moments.MixedMomentRule) -> list:
     """[N_0, ..., N_p]: N_r sums the walk-graph weight n^p E(i, alpha) over
     the canonical i with r distinct values, one ``graph_expectation_weight``
-    per i. A weight does not depend on n, so neither do the counts."""
-    alpha = tuple(alpha)
+    per i. A weight does not depend on n, so neither do the counts: they are
+    memoized on (alpha, rule), and each call returns a new list."""
+    return list(_pairwise_counts(tuple(alpha), rule))
+
+
+@functools.cache
+def _pairwise_counts(alpha: tuple, rule: moments.MixedMomentRule) -> tuple:
     counts = [0] * (len(alpha) + 1)
     for i_seq in sequences.enumerate_canonical(len(alpha)):
         counts[max(i_seq)] += moments.graph_expectation_weight(i_seq, alpha, rule)
-    return counts
+    return tuple(counts)
 
 
 def pairwise_inner_factor(alpha, n: int, rule: moments.MixedMomentRule) -> Fraction:
@@ -138,27 +143,19 @@ def pairwise_inner_factor(alpha, n: int, rule: moments.MixedMomentRule) -> Fract
 
 
 def pairwise_mean_trace_moment(
-    n: int, k: int, m: int, p: int, tau: moments.TauModel, rule: moments.MixedMomentRule,
-    counts: Callable[[sequences.Canon], list] | None = None,
+    n: int, k: int, m: int, p: int, tau: moments.TauModel, rule: moments.MixedMomentRule
 ) -> float:
     """``moments.exact_mean_trace_moment`` as the sum over every canonical
-    alpha, with no class reduction: Bell(p)^2 walk graphs. Each alpha goes
-    through ``pairwise_inner_factor``, unless ``counts`` maps it to its
-    ``pairwise_counts`` for this rule, which lets a caller that evaluates
-    several n weigh each walk graph once."""
+    alpha, with no class reduction: Bell(p)^2 walk graphs, each alpha
+    through ``pairwise_inner_factor``."""
     if min(n, k, m) < 1:
         raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     tau_factor = moments._tau_factor(tau, m, p)
     total = Fraction(0)
     for alpha in sequences.enumerate_canonical(p):
         tau_fac = tau_factor(Counter(alpha).values())
-        if tau_fac == 0:
-            continue
-        if counts is None:
-            inner = pairwise_inner_factor(alpha, n, rule)
-        else:
-            inner = moments._inner_from_counts(counts(alpha), n)
-        total += tau_fac * inner**k
+        if tau_fac != 0:
+            total += tau_fac * pairwise_inner_factor(alpha, n, rule) ** k
     return float(total / Fraction(n) ** k)
 
 
@@ -394,15 +391,12 @@ def _tau_factor_enumeration(p_max):
 @_claim("moments", "exact oracle equals pairwise sum",
         "float-exact, rademacher and roots:3, tau = 0.5 + j/m, (n,k,m) = (2,3,3), (3,2,4)", cap=5)
 def _exact_pairwise(p_max):
-    rules = (moments.rademacher_rule(), moments.roots_of_unity_rule(3))
-    # each rule's walk-graph counts serve every (n, k, m)
-    counts = [functools.cache(functools.partial(pairwise_counts, rule=rule)) for rule in rules]
     for n, k, m in ((2, 3, 3), (3, 2, 4)):
         tau = moments.TauModel(coefficients=tuple(0.5 + j / m for j in range(m)))
-        for rule, rule_counts in zip(rules, counts):
+        for rule in (moments.rademacher_rule(), moments.roots_of_unity_rule(3)):
             for p in range(1, p_max + 1):
                 got = moments.exact_mean_trace_moment(n, k, m, p, tau, rule)
-                want = pairwise_mean_trace_moment(n, k, m, p, tau, rule, rule_counts)
+                want = pairwise_mean_trace_moment(n, k, m, p, tau, rule)
                 if got != want:
                     yield f"{rule.name} n={n} k={k} m={m} p={p} exact={got!r} pairwise={want!r}"
 

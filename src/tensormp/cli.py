@@ -348,8 +348,11 @@ def cmd_simulate(args) -> int:
 def cmd_mplaw(args) -> int:
     _require(args, "c")
     law = mplaw.MPLaw(args.c)
-    lo = args.x_min
-    hi = args.x_max if args.x_max is not None else _check("x_max", law.b * 1.05, "x_max=1.05 b")
+    # the default grid spans [a - w/2, b + w/2] within [0, 1.05 b], w = b - a,
+    # and at least one ulp past each edge where w is below float resolution
+    margin = max(law.width / 2.0, math.ulp(law.b))
+    lo = args.x_min if args.x_min is not None else max(0.0, law.a - margin)
+    hi = args.x_max if args.x_max is not None else min(1.05 * law.b, law.b + margin)
     if hi <= lo:
         raise UsageError(f"empty grid [{lo}, {hi}]")
     config = {
@@ -361,8 +364,8 @@ def cmd_mplaw(args) -> int:
     }
     write = _outputs(args, config, "mplaw", ".csv")
     xs = np.linspace(lo, hi, args.grid_points)
-    if law.atom > 0 and lo <= 0.0 <= hi:
-        xs = np.unique(np.append(xs, 0.0))  # make the atom row explicit
+    if law.atom > 0:
+        xs = np.append(xs, 0.0)  # make the atom row explicit
     text = _head(config, mplaw.law_table_csv(args.c, xs))
     if args.out is None:
         sys.stdout.write(text)
@@ -435,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mplaw", help="density/CDF table of the limiting law")
     sp.add_argument("--c", type=float, default=None, help="ratio parameter (must be > 0)")
     sp.add_argument("--grid-points", type=int, default=512, help="grid size (default 512)")
-    sp.add_argument("--x-min", type=float, default=0.0, help="grid start (default 0)")
-    sp.add_argument("--x-max", type=float, default=None, help="grid end (default 1.05 b)")
+    sp.add_argument("--x-min", type=float, default=None, help="grid start (default max(0, a - w/2), w = b - a)")
+    sp.add_argument("--x-max", type=float, default=None, help="grid end (default min(1.05 b, b + w/2))")
     common(sp)
     sp.set_defaults(func=cmd_mplaw)
 

@@ -36,17 +36,14 @@ def bell(n: int) -> int:
 
 
 def falling_factorial(n: int, r: int) -> int:
-    """n (n-1) ... (n-r+1), with the empty product 1 for r = 0.
+    """n (n-1) ... (n-r+1) for n >= 0, with the empty product 1 for r = 0.
 
-    For integer n with 0 <= n < r the product hits zero, which is exactly
-    the number of injections from an r-set into an n-set.
+    For 0 <= n < r the product hits zero, which is exactly the number of
+    injections from an r-set into an n-set, as ``math.perm`` counts them.
     """
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    out = 1
-    for j in range(r):
-        out *= n - j
-    return out
+    return math.perm(n, r)
 
 
 def c1_count(s: int, p: int) -> int:

@@ -88,18 +88,17 @@ def classify(g: WalkGraph) -> GraphClass:
 
 
 def is_delta1(i_seq: Iterable[int], alpha: Iterable[int]) -> bool:
-    """True iff the walk graph glues to a tree with every edge doubled once.
+    """True iff the walk graph glues to a tree with every edge doubled once:
+    it is paired and has r + s = p + 1 vertices, r distinct i-values and s
+    distinct alpha-values.
 
-    Each (alpha-value, i-value) pair must carry exactly one down and one
-    up edge. The glued undirected graph then has exactly p distinct
-    edges, and it is connected because the walk is closed, so it is a
-    tree exactly when its r distinct i-values and s distinct alpha-values
-    number r + s = p + 1.
+    The glued undirected graph is connected, since the walk is closed, so
+    its r + s = p + 1 vertices need at least p distinct keys. A paired
+    graph's p down edges allow at most p keys, so each key carries exactly
+    one down and one up edge, and the p keys form a tree.
     """
     g = build_graph(i_seq, alpha)
-    if any(g.down.get(kv, 0) != 1 or g.up.get(kv, 0) != 1 for kv in g.edge_keys()):
-        return False
-    return len(set(g.i_seq)) + len(set(g.alpha)) == g.p + 1
+    return classify(g) is GraphClass.PAIRED and len(set(g.i_seq)) + len(set(g.alpha)) == g.p + 1
 
 
 def edge_counts(
@@ -145,14 +144,13 @@ def classify_rows(alpha: Iterable[int], cols: np.ndarray) -> np.ndarray:
 
 
 def delta1_rows(alpha: Iterable[int], cols: np.ndarray) -> np.ndarray:
-    """``is_delta1`` of each row with alpha, as a bool array; ``cols`` is as
-    in ``edge_counts``, so a row's r distinct values are its max + 1."""
+    """``is_delta1`` of each row with alpha, as a bool array: the paired rows
+    of ``classify_rows`` with p + 1 vertices; ``cols`` is as in
+    ``edge_counts``, so a row's r distinct values are its max + 1."""
     alpha = tuple(alpha)
     cols = np.asarray(cols)
-    out = cols.max(axis=1) + 1 + len(set(alpha)) == len(alpha) + 1
-    for rows, down, up in edge_counts(alpha, cols):
-        out[rows] &= ((down == up) & (down <= 1)).all(axis=1)
-    return out
+    tree = cols.max(axis=1) + 1 + len(set(alpha)) == len(alpha) + 1
+    return tree & (classify_rows(alpha, cols) == GraphClass.PAIRED)
 
 
 def delta1_partner(alpha: Iterable[int]) -> Canon | None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -89,13 +89,13 @@ class MixedMomentRule:
     mu(1,1) = 1 and mu(1,0) = mu(0,1) = 0. The built-in rules return
     exact ints, which keeps the oracle's rational arithmetic exact.
 
-    Rules compare and hash by ``name`` only, since ``mu`` is a function:
-    two rules with one name and different mu are equal, so no cache may
-    be keyed on a rule.
+    Rules compare and hash by ``name`` and by ``mu``, a function that
+    equals only itself, so a cache may be keyed on a rule: two rules
+    that share a name but not their mu stay apart.
     """
 
     name: str
-    mu: Callable[[int, int], int] = field(compare=False)
+    mu: Callable[[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,11 @@ class EntryDistribution:
             return np.exp(2j * np.pi * rng.random(shape))
         return self.alphabet[rng.integers(0, len(self.alphabet), shape)]
 
+    @functools.cache
     def mixed_moment_rule(self) -> MixedMomentRule:
         """mu(a, b) = E[xi^a conj(xi)^b]: 1 iff a = b for the phase, and for an
-        alphabet of q roots of unity 1 iff a = b mod q, else 0."""
+        alphabet of q roots of unity 1 iff a = b mod q, else 0. Memoized on
+        the law, so each law has one rule object, which every caller shares."""
         if self.alphabet is None:
             return MixedMomentRule(self.label, lambda a, b: int(a == b))
         q = len(self.alphabet)

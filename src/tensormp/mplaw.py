@@ -167,7 +167,8 @@ def ks_distance(sample, c: float) -> float:
 
 
 def law_table_csv(c: float, xs) -> str:
-    """CSV with columns x, pdf, cdf over an ascending grid."""
-    xs = np.asarray(sorted(float(v) for v in xs))
+    """CSV with columns x, pdf, cdf, one row per distinct grid value in
+    ascending order: at large c a default grid spans only a few ulps."""
+    xs = np.unique(np.asarray(xs, dtype=float))
     rows = zip(xs.tolist(), _density(xs, c).tolist(), _cdf(xs, c).tolist())
     return "\n".join(["x,pdf,cdf"] + [f"{x!r},{pdf!r},{f!r}" for x, pdf, f in rows]) + "\n"

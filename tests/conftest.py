@@ -3,13 +3,20 @@
 The Monte Carlo ladder is expensive (the n=8 rung runs twenty trials of
 a 2048-sample experiment), so it is computed once per session and shared
 by the convergence, goodness-of-fit, and concentration tests.
+
+Hypothesis draws the same examples on every run and keeps no example
+database, so no run depends on what an earlier run found.
 """
 
 import pytest
+from hypothesis import settings
 
 import tensormp as t
 from tensormp import simulation
 from tensormp.cli import _usable_cpus
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 LADDER_SEED = 20260818
 LADDER_TRIALS = 20

@@ -8,6 +8,7 @@ two vary the BLAS thread count, which is read at interpreter start.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -190,6 +191,30 @@ def test_mplaw_at_the_largest_c(capsys):
     rc, out, err = run(capsys, "mplaw", "--c", "1e308", "--grid-points", "3")
     assert rc == 0 and err == ""
     assert float(out.strip().split("\n")[-1].split(",")[2]) == 1.0
+
+
+def test_mplaw_default_grid_stays_finite(capsys):
+    # 1.05 b overflows here, and the support is narrower than one ulp of a,
+    # so the 512 grid points hold a few distinct values, one row each
+    rc, out, err = run(capsys, "mplaw", "--c", "1.79e308")
+    assert rc == 0 and err == ""
+    config = json.loads(out.split("\n", 1)[0][len("# config=") :])
+    assert math.isfinite(config["x_max"]) and config["x_min"] < config["x_max"]
+    xs = [float(line.split(",")[0]) for line in out.strip().split("\n")[2:]]
+    assert xs == sorted(set(xs)) and xs[-1] == config["x_max"]
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e6, 1e8, 1e10])
+def test_mplaw_default_grid_covers_the_support(capsys, c):
+    rc, out, _ = run(capsys, "mplaw", "--c", repr(c))
+    assert rc == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().split("\n")[2:]]
+    assert sum(1 for row in rows if row[1] > 0) >= 200
+    assert (rows[0][0] == 0.0) == (c < 1)
+    # the config names the table: the same grid given as flags gives the same bytes
+    config = json.loads(out.split("\n", 1)[0][len("# config=") :])
+    grid = ("--x-min", repr(config["x_min"]), "--x-max", repr(config["x_max"]))
+    assert run(capsys, "mplaw", "--c", repr(c), *grid)[1] == out
 
 
 def test_simulate_requires_dimensions(capsys):
@@ -504,7 +529,6 @@ def test_simulate_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
         "mplaw --c inf",
         "mplaw --c nan",
         "mplaw --c 0.5 --x-max nan",
-        "mplaw --c 1.79e308",  # the default x_max = 1.05 b overflows
         "simulate --n 2 --k 1 --m 2 --seed -1",
         "moments --c 1 --tau file:{empty}",
         "moments --c 1 --tau moments:{empty}",

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tensormp as t
-from tensormp import GraphClass
+from tensormp import GraphClass, sequences
 from tensormp.claims import CLAIMS
 
 
@@ -211,6 +211,18 @@ def test_consecutive_violation_report():
     assert v.edge == (1, 1)
     assert v.positions == (1, 3)
     assert v.distance == 2
+
+
+def test_every_other_graph_has_a_consecutive_pair():
+    # the diagnostic's own claim, over every Other-class walk graph with p <= 6
+    others = 0
+    for p in range(1, 7):
+        seqs, cols = t.enumerate_canonical(p), sequences.canonical_array(p)
+        for a in seqs:
+            for j in np.flatnonzero(t.classify_rows(a, cols) == GraphClass.OTHER):
+                others += 1
+                assert t.count_consecutive_violations(t.build_graph(seqs[j], a)) is not None
+    assert others == 323
 
 
 def test_dump_graph_format():

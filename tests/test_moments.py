@@ -199,12 +199,12 @@ def test_inner_factor_equals_pairwise_sum(rule):
                 assert t.inner_factor(a, n, rule) == moments._inner_from_counts(counts, n), (a, n)
 
 
-def test_no_cache_is_keyed_on_a_rule():
-    # rules compare and hash by name only, so SKEW renamed to a symmetric
-    # rule's name equals that rule; each must still get its own weights
+def test_rules_that_share_a_name_stay_apart():
+    # rules compare by name and mu, so SKEW renamed to a symmetric rule's
+    # name is another rule, and every cache keyed on a rule keeps them apart
     rad = t.rademacher_rule()
     twin = MixedMomentRule(rad.name, SKEW.mu)
-    assert twin == rad and hash(twin) == hash(rad)
+    assert twin != rad
     a, tau = (1, 1, 2, 1, 2, 3), TauModel(coefficients=(0.5, 1.25, 2.0))
 
     def values(rule):
@@ -217,6 +217,20 @@ def test_no_cache_is_keyed_on_a_rule():
         for rule, own in order:
             assert values(rule) == own
             assert t.inner_factor(a, 2, rule) == own[0]
+
+
+def test_each_law_has_one_rule():
+    assert t.rademacher_rule() is moments.EntryDistribution.parse("rademacher").mixed_moment_rule()
+    assert t.roots_of_unity_rule(3) is moments.EntryDistribution.parse("roots:3").mixed_moment_rule()
+    assert t.uniform_phase_rule() is t.PHASE.mixed_moment_rule()
+    assert t.roots_of_unity_rule(3) != t.roots_of_unity_rule(4)
+
+
+def test_pairwise_counts_return_a_new_list():
+    a, rad = (1, 2, 1, 2), t.rademacher_rule()
+    first = pairwise_counts(a, rad)
+    first[0] = 99
+    assert pairwise_counts(a, rad) == [0, 1, 3, 0, 0] != first
 
 
 def test_skew_rule_is_not_reduced_by_reversal(monkeypatch):
