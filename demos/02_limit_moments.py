@@ -2,8 +2,8 @@
 
 The combinatorial column is the sum over non-crossing sequences that the
 moment method leaves (``tensormp.claims.noncrossing_limit_sum``); the
-library's ``limiting_moment`` reaches the same numbers by the
-free-cumulant recursion. A k-sweep at fixed n = 2 shows the exact moment
+library's ``limiting_moment`` reaches the same numbers by Lagrange
+inversion of the free-cumulant equation, an O(p^2) exact series. A k-sweep at fixed n = 2 shows the exact moment
 of unit-circle entries reaching the Marchenko-Pastur value, while
 Rademacher entries reach the Poisson(c) moment instead.
 

@@ -29,10 +29,15 @@ def stirling2(n: int, k: int) -> int:
 
 
 def bell(n: int) -> int:
-    """Number of set partitions of an n-element set: sum_k S(n, k)."""
+    """Number of set partitions of an n-element set by B_(j+1) = sum_k C(j, k) B_k,
+    B_0 = 1, which shares nothing with ``stirling2``: k elements stay out of
+    the block of element j + 1."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return sum(stirling2(n, k) for k in range(n + 1)) if n > 0 else 1
+    b = [1]
+    for j in range(n):
+        b.append(sum(math.comb(j, k) * b[k] for k in range(j + 1)))
+    return b[n]
 
 
 def falling_factorial(n: int, r: int) -> int:

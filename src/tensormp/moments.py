@@ -9,9 +9,10 @@ power of an inner factor, which sums walk-graph expectations over all
 canonical column sequences. As m/n^k -> c only the non-crossing alpha
 survive, with a factor kappa_q = c m_q per block of size q: the
 moment-cumulant formula of the free Poisson law with free cumulants
-kappa_q (Nica & Speicher, 2006). ``limiting_moment`` evaluates it by the
-recursion M(z) = 1 + sum_s kappa_s z^s M(z)^s; the brute-force sum is
-the test oracle ``claims.noncrossing_limit_sum``. With constant weights
+kappa_q (Nica & Speicher, 2006). ``limiting_moment`` evaluates it by
+Lagrange inversion of M(z) = 1 + sum_s kappa_s z^s M(z)^s, an O(p^2)
+exact series; the brute-force sum is the test oracle
+``claims.noncrossing_limit_sum``. With constant weights
 the limit is ``mp_moment``, the Marchenko-Pastur (Narayana) moments.
 
 All combinatorial sums are carried out in exact rational arithmetic and
@@ -175,26 +176,24 @@ def roots_of_unity_rule(q: int) -> MixedMomentRule:
 def limiting_moment(p: int, c: float, tau: TauModel) -> float:
     """Limit of the normalized expected p-th trace moment as m/n^k -> c.
 
-    The coefficient of z^p in M(z) = 1 + sum_s kappa_s z^s M(z)^s with
-    kappa_q = c m_q; that of z^n needs only m_0..m_(n-1). Exact rational
-    arithmetic inside, one float conversion out, so the result equals
-    ``claims.noncrossing_limit_sum`` float-for-float.
+    The moment generating series M(z) = 1 + sum_s kappa_s z^s M(z)^s, with
+    kappa_q = c m_q, reads f = z phi(f) for f = z M and
+    phi(w) = 1 + sum_q kappa_q w^q. Lagrange inversion gives
+    m_p = [w^p] phi(w)^(p+1) / (p+1), and Miller's power recurrence
+    (Knuth, TAOCP vol. 2, 4.7) the coefficients a_j of phi^(p+1):
+    a_0 = 1, a_j = (1/j) sum_(i=1..j) ((p+2) i - j) kappa_i a_(j-i).
+    Exact rational arithmetic inside, one float conversion out, so the
+    result equals ``claims.noncrossing_limit_sum`` float-for-float.
     """
     if c <= 0:
         raise ValueError(f"need c > 0, got {c}")
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    kappa = [None] + [Fraction(c) * Fraction(tau.moment(q)) for q in range(1, p + 1)]
-    m = [Fraction(1)]
-    for n in range(1, p + 1):
-        power = [Fraction(1)] + [Fraction(0)] * n  # [z^j] M(z)^0
-        total = Fraction(0)
-        for s in range(1, n + 1):
-            # [z^j] M(z)^s for j <= n - s, from M^(s-1) and m_0..m_(n-1)
-            power = [sum(power[i] * m[j - i] for i in range(j + 1)) for j in range(n - s + 1)]
-            total += kappa[s] * power[n - s]
-        m.append(total)
-    return float(m[p])
+    kappa = [Fraction(1)] + [Fraction(c) * Fraction(tau.moment(q)) for q in range(1, p + 1)]
+    a = [Fraction(1)]
+    for j in range(1, p + 1):
+        a.append(sum(((p + 2) * i - j) * kappa[i] * a[j - i] for i in range(1, j + 1)) / j)
+    return float(a[p] / (p + 1))
 
 
 def mp_moment(p: int, c: float) -> float:

@@ -5,11 +5,18 @@ a 2048-sample experiment), so it is computed once per session and shared
 by the convergence, goodness-of-fit, and concentration tests.
 
 Hypothesis draws the same examples on every run and keeps no example
-database, so no run depends on what an earlier run found.
+database, so no run depends on what an earlier run found. Its other
+storage (the source-constants cache) goes to a temporary directory that
+is removed at exit, so a run writes nothing into the checkout.
 """
+
+import atexit
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import tensormp as t
 from tensormp import simulation
@@ -17,6 +24,9 @@ from tensormp.cli import _usable_cpus
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="tensormp-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 LADDER_SEED = 20260818
 LADDER_TRIALS = 20

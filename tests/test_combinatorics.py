@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tensormp import bell, c1_count, falling_factorial, stirling2
+from tensormp import combinatorics as comb
 from tensormp.claims import CLAIMS, stirling_explicit
 
 
@@ -30,6 +31,13 @@ def test_bell_totals():
     assert [bell(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     assert bell(10) == 115975
     assert CLAIMS["bell totals"].run(14) is None
+
+
+def test_bell_totals_catch_a_wrong_stirling(monkeypatch):
+    # bell shares nothing with stirling2, so one wrong S(n, k) shows
+    right = comb.stirling2
+    monkeypatch.setattr(comb, "stirling2", lambda n, k: right(n, k) + ((n, k) == (9, 4)))
+    assert CLAIMS["bell totals"].run(14) == "n=9"
 
 
 def test_falling_factorial():

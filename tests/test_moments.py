@@ -65,11 +65,20 @@ def test_moment_needs_enough_tau_moments():
 
 
 def test_limiting_moment_beyond_enumeration_cap():
-    # the recursion needs no sequence enumeration, so P_CAP does not bind it
+    # the series needs no sequence enumeration, so P_CAP does not bind it
     assert t.P_CAP < 14
     tau = TauModel.constant(1.0)
     for c in (0.1, 0.5, 1.0, 2.0):
-        assert t.limiting_moment(14, c, tau) == t.mp_moment(14, c)
+        for p in (14, 20, 30):
+            assert t.limiting_moment(p, c, tau) == t.mp_moment(p, c)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.7])
+def test_limiting_moment_of_declared_moments(c):
+    # no m real weights have these power sums: m_2 < m_1^2 and m_4 < 0
+    tau = TauModel(moments=(1.0, 0.5, 3.0, -2.0, 7.0, 1.0, 2.0, 5.0))
+    for p in range(1, 9):
+        assert t.limiting_moment(p, c, tau) == noncrossing_limit_sum(p, c, tau)
 
 
 def test_tau_model_validation():

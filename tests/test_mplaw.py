@@ -7,7 +7,8 @@ from scipy import integrate
 from scipy.optimize import brentq
 
 import tensormp as t
-from tensormp.claims import CLAIMS
+from tensormp import mplaw
+from tensormp.claims import CLAIMS, mp_cdf_closed_form
 from tensormp.mplaw import (
     MPLaw,
     _cdf,
@@ -133,6 +134,22 @@ def test_cdf_matches_high_precision_reference(c):
     law = MPLaw(c)
     xs = np.array([law.a + u * law.width for u in (1e-8, 1e-4, 0.01, 0.3, 0.7, 0.999)])
     assert np.abs(_cdf(xs, c) - CDF_REFERENCE[c]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("c", CDF_REFERENCE)
+def test_closed_form_cdf_matches_high_precision_reference(c):
+    # the oracle of the "law cdf" claim; its arcsin terms cancel at the edges,
+    # so it is held away from them, as the claim's grid is
+    law = MPLaw(c)
+    xs = np.array([law.a + u * law.width for u in (1e-4, 0.01, 0.3, 0.7, 0.999)])
+    assert np.abs(mp_cdf_closed_form(xs, c) - CDF_REFERENCE[c][1:]).max() <= 1e-14
+
+
+def test_law_cdf_claim_catches_a_scaled_cdf(monkeypatch):
+    claim = CLAIMS["law cdf equals closed form"]
+    assert claim.run(1) is None
+    monkeypatch.setattr(mplaw, "_cdf", lambda xs, c, cdf=_cdf: cdf(xs, c) * (1.0 + 1e-6))
+    assert claim.run(1).startswith("c=0.0001 ")
 
 
 def test_quadrature_zeroth_moment_is_continuous_mass():
