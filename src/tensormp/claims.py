@@ -387,7 +387,7 @@ def _law_cdf(p_max):
     for c in (1e-4, 0.25, 0.5, 0.9999, 1.0, 1.0001, 2.0, 4.0):
         law = mplaw.MPLaw(c)
         xs = np.linspace(law.a, law.b, 65)[1:-1]
-        err = np.abs(mplaw._cdf(xs, c) - mp_cdf_closed_form(xs, c))
+        err = np.abs(mplaw.cdf(xs, c) - mp_cdf_closed_form(xs, c))
         j = int(err.argmax())
         if err[j] > 1e-13:
             yield f"c={c} x={float(xs[j])!r} error={float(err[j])!r}"

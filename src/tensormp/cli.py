@@ -363,10 +363,7 @@ def cmd_mplaw(args) -> int:
         "grid_points": args.grid_points,
     }
     write = _outputs(args, config, "mplaw", ".csv")
-    xs = np.linspace(lo, hi, args.grid_points)
-    if law.atom > 0:
-        xs = np.append(xs, 0.0)  # make the atom row explicit
-    text = _head(config, mplaw.law_table_csv(args.c, xs))
+    text = _head(config, mplaw.law_table_csv(args.c, np.linspace(lo, hi, args.grid_points)))
     if args.out is None:
         sys.stdout.write(text)
     write(text)

@@ -7,7 +7,8 @@ inverse-square-root edge singularities are removed by substituting
 x = a + (b - a) sin^2(theta), with b - a taken as 4 sqrt(c). Every number
 of the law, from ``cdf`` to the KS distance, is then one integral from
 theta = 0, by 96-point Gauss-Legendre on a fixed partition fine enough
-near c = 1, where a << b - a, to resolve the 1/x factor.
+near c = 1, where a << b - a, to resolve the 1/x factor. ``density`` and
+``cdf`` take a number or an array, so every caller reads the same two.
 """
 
 from __future__ import annotations
@@ -97,32 +98,28 @@ def _integral(law: MPLaw, theta: np.ndarray, power: int = 0) -> np.ndarray:
     return below[piece] + _segment_masses(law, cuts[piece], theta, power)
 
 
-def _cdf(xs: np.ndarray, c: float) -> np.ndarray:
-    """Distribution function at each x, in any order, atom at zero included:
-    right-continuous, so F(0) = 1 - c for c < 1, capped at 1, and 1 from b up."""
+def density(x, c: float) -> float | np.ndarray:
+    """Continuous density at x, zero outside the open support (a, b); the
+    atom (MPLaw.atom) is not part of it. A number gives a float, an array
+    an array of its shape."""
     law = MPLaw(c)
-    cont = _integral(law, _theta_of_x(law, xs))
-    return np.where(xs >= law.b, 1.0, np.minimum(1.0, cont + law.atom * (xs >= 0.0)))
-
-
-def _density(xs: np.ndarray, c: float) -> np.ndarray:
-    """Continuous density at each x, zero outside the open support (a, b)."""
-    law = MPLaw(c)
+    xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
     inside = (xs > law.a) & (xs < law.b)
-    x = xs[inside]
-    out[inside] = np.sqrt((law.b - x) * (x - law.a)) / (2.0 * math.pi * x)
-    return out
+    y = xs[inside]
+    out[inside] = np.sqrt((law.b - y) * (y - law.a)) / (2.0 * math.pi * y)
+    return out if out.ndim else float(out)
 
 
-def density(x: float, c: float) -> float:
-    """Continuous density at x; the atom (MPLaw.atom) is not part of it."""
-    return float(_density(np.array([x], dtype=float), c)[0])
-
-
-def cdf(x: float, c: float) -> float:
-    """Right-continuous distribution function at one point, atom included."""
-    return float(_cdf(np.array([x], dtype=float), c)[0])
+def cdf(x, c: float) -> float | np.ndarray:
+    """Distribution function at x, atom at zero included: right-continuous,
+    so F(0) = 1 - c for c < 1, capped at 1, and 1 from b up. A number gives
+    a float, an array an array of its shape, its points in any order."""
+    law = MPLaw(c)
+    xs = np.asarray(x, dtype=float)
+    cont = _integral(law, _theta_of_x(law, xs.ravel())).reshape(xs.shape)
+    out = np.where(xs >= law.b, 1.0, np.minimum(1.0, cont + law.atom * (xs >= 0.0)))
+    return out if out.ndim else float(out)
 
 
 def quadrature_moment(p: int, c: float) -> float:
@@ -159,7 +156,7 @@ def ks_distance(sample, c: float) -> float:
     cum_hi = np.cumsum(mass)
     cum_lo = cum_hi - mass
 
-    f_right = _cdf(pts, c)
+    f_right = cdf(pts, c)
     f_left = f_right - MPLaw(c).atom * (pts == 0.0)
     return float(
         max(np.max(np.abs(f_right - cum_hi)), np.max(np.abs(f_left - cum_lo)))
@@ -168,7 +165,9 @@ def ks_distance(sample, c: float) -> float:
 
 def law_table_csv(c: float, xs) -> str:
     """CSV with columns x, pdf, cdf, one row per distinct grid value in
-    ascending order: at large c a default grid spans only a few ulps."""
-    xs = np.unique(np.asarray(xs, dtype=float))
-    rows = zip(xs.tolist(), _density(xs, c).tolist(), _cdf(xs, c).tolist())
+    ascending order (at large c a default grid spans only a few ulps), and
+    a row at x = 0 whenever the law has an atom there."""
+    xs = np.asarray(xs, dtype=float)
+    xs = np.unique(np.append(xs, 0.0) if c < 1.0 else xs)
+    rows = zip(xs.tolist(), density(xs, c).tolist(), cdf(xs, c).tolist())
     return "\n".join(["x,pdf,cdf"] + [f"{x!r},{pdf!r},{f!r}" for x, pdf, f in rows]) + "\n"

@@ -59,10 +59,6 @@ def enumerate_canonical(p: int, s: int | None = None) -> list[Canon]:
     filtered lists are read off it, so each length is enumerated once per
     process; every call returns a new list, which the caller may mutate.
     """
-    if not 1 <= p <= P_CAP:
-        raise ValueError(f"length {p} outside supported range 1..{P_CAP}")
-    if s is not None and not 1 <= s <= p:
-        return []
     seqs, cols = _enumeration(p)
     if s is None:
         return list(seqs)
@@ -78,27 +74,18 @@ def canonical_array(p: int) -> np.ndarray:
 @functools.cache
 def _enumeration(p: int) -> tuple[tuple[Canon, ...], np.ndarray]:
     """The canonical sequences of length p as tuples and as a read-only
-    0-based array, by depth-first extension of the prefix (1,)."""
+    0-based array, built level by level from (1,): each sequence of length
+    j + 1 is one of length j followed by a value from 1 to its maximum + 1.
+    Values go in increasing order, so every level stays lexicographic."""
     if not 1 <= p <= P_CAP:
         raise ValueError(f"length {p} outside supported range 1..{P_CAP}")
-    out: list[Canon] = []
-    prefix = [1]
-
-    def extend(mx: int) -> None:
-        if len(prefix) == p:
-            out.append(tuple(prefix))
-            return
-        # values tried in increasing order keeps the output lexicographic
-        for v in range(1, mx + 2):
-            prefix.append(v)
-            extend(max(mx, v))
-            prefix.pop()
-
-    extend(1)
-    cols = np.array(out, dtype=np.int64)
+    seqs: list[Canon] = [(1,)]
+    for _ in range(p - 1):
+        seqs = [a + (v,) for a in seqs for v in range(1, max(a) + 2)]
+    cols = np.array(seqs, dtype=np.int64)
     cols -= 1
     cols.flags.writeable = False
-    return tuple(out), cols
+    return tuple(seqs), cols
 
 
 def is_crossing(alpha: Iterable[int]) -> bool:

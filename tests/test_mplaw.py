@@ -11,9 +11,9 @@ from tensormp import mplaw
 from tensormp.claims import CLAIMS, mp_cdf_closed_form
 from tensormp.mplaw import (
     MPLaw,
-    _cdf,
     _integrand_theta,
     _theta_of_x,
+    cdf,
     law_table_csv,
 )
 from tensormp.simulation import SpectrumSample
@@ -105,7 +105,7 @@ def test_continuous_cdf_matches_scalar_cdf():
     for c in (0.25, 0.9999, 1.0, 1.0001, 3.0):
         law = MPLaw(c)
         xs = np.linspace(law.a, law.b, 41)
-        vec = _cdf(xs, c)
+        vec = cdf(xs, c)
         for x, v in zip(xs, vec):
             want = quad_cdf(x, c)
             assert v == pytest.approx(want, abs=1e-9)
@@ -133,7 +133,7 @@ def test_cdf_matches_high_precision_reference(c):
     # near c = 1 one Gauss-Legendre segment from theta = 0 was off by 4e-5
     law = MPLaw(c)
     xs = np.array([law.a + u * law.width for u in (1e-8, 1e-4, 0.01, 0.3, 0.7, 0.999)])
-    assert np.abs(_cdf(xs, c) - CDF_REFERENCE[c]).max() <= 1e-14
+    assert np.abs(cdf(xs, c) - CDF_REFERENCE[c]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("c", CDF_REFERENCE)
@@ -148,7 +148,7 @@ def test_closed_form_cdf_matches_high_precision_reference(c):
 def test_law_cdf_claim_catches_a_scaled_cdf(monkeypatch):
     claim = CLAIMS["law cdf equals closed form"]
     assert claim.run(1) is None
-    monkeypatch.setattr(mplaw, "_cdf", lambda xs, c, cdf=_cdf: cdf(xs, c) * (1.0 + 1e-6))
+    monkeypatch.setattr(mplaw, "cdf", lambda xs, c, cdf=cdf: cdf(xs, c) * (1.0 + 1e-6))
     assert claim.run(1).startswith("c=0.0001 ")
 
 
@@ -213,6 +213,26 @@ def test_law_table_csv_contains_atom_row():
     assert float(first[2]) == pytest.approx(0.75, abs=1e-10)
     last = lines[-1].split(",")
     assert float(last[2]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_law_table_adds_the_atom_row_itself():
+    # the x = 0 row is the table's own whenever c < 1, and absent from c = 1 up
+    first = law_table_csv(0.25, [1.0, 2.0]).splitlines()[1]
+    assert first == "0.0,0.0,0.75"
+    assert [row.split(",")[0] for row in law_table_csv(1.0, [1.0, 2.0]).splitlines()[1:]] == [
+        "1.0", "2.0"
+    ]
+
+
+def test_cdf_and_density_keep_the_shape_of_their_input():
+    # a number gives a float, an array an array of its shape with the values
+    # of the single points
+    for f in (t.cdf, t.density):
+        assert type(f(1, 0.5)) is float and type(f(np.float64(1.0), 0.5)) is float
+        for xs in (np.linspace(-0.5, 3.5, 7), np.linspace(-0.5, 3.5, 12).reshape(3, 4)):
+            got = f(xs, 0.5)
+            assert isinstance(got, np.ndarray) and got.shape == xs.shape
+            assert got.ravel().tolist() == [f(x, 0.5) for x in xs.ravel().tolist()]
 
 
 @pytest.mark.parametrize("c", [1e-8, 0.25, 1.0, 4.0, 1e8])

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,15 @@ def test_gram_matches_dense_spectrum():
         G = t.gram_matrix(vecs)
         s = t.esd(G, tau, 8, seed=3, dims=(2, 3, 5))
         assert dense_check(s, vecs, tau)[0] < 1e-10  # raises if the dimensions differ
+
+
+def test_dense_check_refuses_a_sample_of_another_dimension():
+    vecs = t.sample_base_vectors(2, 3, 5, t.PHASE, seed=3)
+    tau = np.ones(5)
+    s = t.esd(t.gram_matrix(vecs), tau, 8)
+    short = replace(s, zero_multiplicity=s.zero_multiplicity - 1)  # 7 eigenvalues, not n^k = 8
+    with pytest.raises(ValueError, match="sample has dimension 7, the dense matrix 8"):
+        dense_check(short, vecs, tau)
 
 
 def test_trace_moments_match_dense_powers():
@@ -737,6 +747,22 @@ def test_concurrent_run_trials_share_one_pin(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         blas.set_num_threads(outer)
+
+
+def test_openblas_binding_passes_over_what_it_cannot_bind(monkeypatch, tmp_path):
+    # a file that is no library (OSError), then a library without the entry
+    # points (AttributeError): both are passed over, so there is no binding;
+    # __wrapped__ runs the search without touching the cached binding
+    from numpy.random import bit_generator
+
+    cached = simulation._openblas()
+    not_a_library = tmp_path / "libscipy_openblas_fake.so"
+    not_a_library.write_text("not a shared object\n")
+    monkeypatch.setattr(
+        simulation, "_openblas_paths", lambda: [str(not_a_library), bit_generator.__file__]
+    )
+    assert simulation._openblas.__wrapped__() is None
+    assert simulation._openblas() is cached
 
 
 def test_bundled_openblas_exports_the_fast_path():
