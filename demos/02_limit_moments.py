@@ -60,10 +60,6 @@ def main():
         print(f"  k={k:>2}: phase error vs MP {abs(phase - limit):.2g}, rademacher {rad:.6g}")
     print()
 
-    moments6 = [t.mp_moment(p, 1.0) for p in range(1, 7)]
-    ok, _ = t.carleman_check(moments6, A=4.0)
-    print(f"Growth check on the first six moments (determinacy bound): {ok}")
-
 
 if __name__ == "__main__":
     main()

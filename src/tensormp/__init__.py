@@ -32,7 +32,6 @@ from .moments import (
     EntryDistribution,
     MixedMomentRule,
     TauModel,
-    carleman_check,
     exact_mean_trace_moment,
     graph_expectation_weight,
     inner_factor,

@@ -40,8 +40,11 @@ class Claim:
         return f"{self.name} {self.scope.format(p=p)}"
 
     def run(self, p: int, **grid):
-        """The first counterexample up to p, or None."""
-        return next(iter(self.check(p, **grid)), None)
+        """The first counterexample up to p, or None; a raised exception is one."""
+        try:
+            return next(iter(self.check(p, **grid)), None)
+        except Exception as exc:
+            return f"raised {type(exc).__name__}: {exc}"
 
 
 #: Every claim by name, grouped by suite in report order.
@@ -223,27 +226,33 @@ def exhaustive_mean_trace(n: int, k: int, m: int, p_max: int, taus, alphabet) ->
 @_claim("sequences", "canonical counts", "Bell(p) in all, S(p,s) with s values")
 def _canonical_counts(p_max):
     for p in range(1, p_max + 1):
+        cols = sequences.canonical_array(p)
+        counts = np.bincount(cols.max(axis=1), minlength=p)
         for s in (None, *range(1, p + 1)):
-            got = len(sequences.enumerate_canonical(p, s))
+            got = len(cols) if s is None else counts[s - 1]
             want = comb.bell(p) if s is None else comb.stirling2(p, s)
             if got != want:
                 yield f"p={p} s={s} enumerated={got} formula={want}"
 
 
-@_claim("sequences", "canonical order", "canonicalize(a) == a, lexicographic order")
+@_claim("sequences", "canonical order", "first value 1, each <= running max + 1, lexicographic order")
 def _canonical_order(p_max):
     for p in range(1, p_max + 1):
-        seqs = sequences.enumerate_canonical(p)
-        yield from (f"alpha={a} is not canonical" for a in seqs if not sequences.is_canonical(a))
-        if seqs != sorted(seqs):
+        cols = sequences.canonical_array(p)
+        run = np.maximum.accumulate(cols, axis=1)
+        bad = (cols[:, 0] != 0) | (cols[:, 1:] > run[:, :-1] + 1).any(axis=1)
+        yield from (f"alpha={tuple(a)} is not canonical" for a in (cols[bad] + 1).tolist())
+        step = np.diff(cols, axis=0)  # each row's first change from the row before must rise
+        if not (step[np.arange(len(step)), (step != 0).argmax(axis=1)] > 0).all():
             yield f"p={p} enumeration out of order"
 
 
 @_claim("sequences", "degree sums", "sum_t degree = p")
 def _degree_sums(p_max):
-    for a, *_ in _sequences(p_max):
-        if sum(sequences.degree(a, t) for t in range(1, max(a) + 1)) != len(a):
-            yield f"alpha={a}"
+    for p in range(1, p_max + 1):
+        cols = sequences.canonical_array(p)
+        sums = sum(sequences.degree(cols, t) for t in range(p))
+        yield from (f"alpha={tuple(a)}" for a in (cols[sums != p] + 1).tolist())
 
 
 @_claim("sequences", "crossing scan agreement", "is_crossing = quartic scan", cap=8)
@@ -381,9 +390,10 @@ def _law_mass(p_max):
 
 
 @_claim("moments", "law cdf equals closed form",
-        "abs error <= 1e-13, 63 points inside (a, b) per c", scope="1e-4<=c<=4")
+        "abs error <= 1e-13, 63 points inside (a, b) per c; exactly 0, atom, 1 off it",
+        scope="1e-4<=c<=4")
 def _law_cdf(p_max):
-    # the closed form loses digits as c grows (1.3e-12 at c = 1e4), hence c <= 4
+    # the closed form loses digits as c grows (1.3e-12 at c = 1e4), hence c <= 4, and is NaN at 0
     for c in (1e-4, 0.25, 0.5, 0.9999, 1.0, 1.0001, 2.0, 4.0):
         law = mplaw.MPLaw(c)
         xs = np.linspace(law.a, law.b, 65)[1:-1]
@@ -391,6 +401,10 @@ def _law_cdf(p_max):
         j = int(err.argmax())
         if err[j] > 1e-13:
             yield f"c={c} x={float(xs[j])!r} error={float(err[j])!r}"
+        for x, want in ((-1.0, 0.0), (-1e-300, 0.0), (0.0, law.atom), (law.a / 2, law.atom),
+                        (law.a, law.atom), (law.b, 1.0), (2 * law.b, 1.0)):
+            if (got := mplaw.cdf(x, c)) != want:
+                yield f"c={c} x={x!r} cdf={got!r} want={want!r}"
 
 
 @_claim("moments", "exact oracle vs exhaustive", "abs error <= 1e-12 at n=m=2", cap=3)

@@ -209,22 +209,6 @@ def mp_moment(p: int, c: float) -> float:
     return float(total)
 
 
-def carleman_check(m_moments: Sequence[float], A: float) -> tuple[bool, int | None]:
-    """Verify |m_q| <= A^q q^q for q = 1..len(m_moments).
-
-    Returns (True, None) when every provided order passes (vacuously for
-    an empty list), else (False, first violating q). The bound guarantees
-    moment determinacy of the limit law. Exact comparison, no overflow.
-    """
-    if A <= 0:
-        raise ValueError(f"need A > 0, got {A}")
-    a_frac = Fraction(A)
-    for q, mq in enumerate(m_moments, start=1):
-        if Fraction(abs(mq)) > a_frac ** q * Fraction(q) ** q:
-            return False, q
-    return True, None
-
-
 def graph_expectation_weight(i_seq, alpha, rule: MixedMomentRule) -> int:
     """n^p E(i, alpha): the product of mu over glued edge multiplicities.
 

@@ -7,14 +7,15 @@ exactly one canonical sequence, so canonical sequences index the ways p
 positions can share values. A canonical sequence with s distinct values
 uses exactly the values {1, ..., s}.
 
-Sequences are stored as tuples of ints; positions are 1-based in the
-documentation and 0-based in the code.
+Each length is stored once, as an int8 array of 0-based rows, and handed
+out as tuples of ints; positions are 1-based in the documentation and
+0-based in the code.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -55,37 +56,33 @@ def enumerate_canonical(p: int, s: int | None = None) -> list[Canon]:
     With s given, keep only sequences with exactly s distinct values.
     The full list has Bell(p) entries; the filtered list has S(p, s).
     Lengths above P_CAP raise ValueError instead of silently enumerating
-    millions of tuples. The enumeration is memoized per p, and the
-    filtered lists are read off it, so each length is enumerated once per
-    process; every call returns a new list, which the caller may mutate.
+    millions of tuples. The tuples are built on each call from the
+    memoized ``canonical_array``, so each call returns a new list, which
+    the caller may mutate.
     """
-    seqs, cols = _enumeration(p)
-    if s is None:
-        return list(seqs)
-    return [seqs[j] for j in np.flatnonzero(cols.max(axis=1) == s - 1)]
-
-
-def canonical_array(p: int) -> np.ndarray:
-    """The Bell(p) x p int64 array of ``enumerate_canonical(p)``, 0-based,
-    one sequence per row. Memoized and shared, so it is read-only."""
-    return _enumeration(p)[1]
+    cols = canonical_array(p)
+    if s is not None:
+        cols = cols[cols.max(axis=1) == s - 1]
+    return list(map(tuple, (cols + 1).tolist()))
 
 
 @functools.cache
-def _enumeration(p: int) -> tuple[tuple[Canon, ...], np.ndarray]:
-    """The canonical sequences of length p as tuples and as a read-only
-    0-based array, built level by level from (1,): each sequence of length
-    j + 1 is one of length j followed by a value from 1 to its maximum + 1.
-    Values go in increasing order, so every level stays lexicographic."""
+def canonical_array(p: int) -> np.ndarray:
+    """The canonical sequences of length p as a Bell(p) x p int8 array,
+    0-based, one per row, built level by level from [[0]]: each row of
+    length j + 1 is a row of length j followed by a value from 0 to its
+    maximum + 1. Values go in increasing order, so every level stays
+    lexicographic. Memoized and shared, so it is read-only."""
     if not 1 <= p <= P_CAP:
         raise ValueError(f"length {p} outside supported range 1..{P_CAP}")
-    seqs: list[Canon] = [(1,)]
+    cols = np.zeros((1, 1), dtype=np.int8)
     for _ in range(p - 1):
-        seqs = [a + (v,) for a in seqs for v in range(1, max(a) + 2)]
-    cols = np.array(seqs, dtype=np.int64)
-    cols -= 1
+        reps = cols.max(axis=1).astype(np.intp) + 2
+        ends = np.cumsum(reps)
+        value = np.arange(ends[-1]) - np.repeat(ends - reps, reps)
+        cols = np.column_stack((np.repeat(cols, reps, axis=0), value.astype(np.int8)))
     cols.flags.writeable = False
-    return tuple(seqs), cols
+    return cols
 
 
 def is_crossing(alpha: Iterable[int]) -> bool:
@@ -112,7 +109,8 @@ def is_crossing(alpha: Iterable[int]) -> bool:
     return False
 
 
-def degree(alpha: Iterable[int], t: int) -> int:
-    """Number of positions holding value t; 0 for t outside the value set."""
-    return sum(1 for v in alpha if v == t)
-
+def degree(alpha: Sequence[int] | np.ndarray, t: int) -> int | np.ndarray:
+    """Number of positions holding value t, 0 for t outside the value set:
+    an int for a sequence, one count per row for a 2-D array of them."""
+    counts = np.count_nonzero(np.asarray(alpha) == t, axis=-1)
+    return counts if np.ndim(counts) else int(counts)

@@ -9,7 +9,7 @@ import tensormp.claims
 PUBLIC = """
     P_CAP EntryDistribution GraphClass MPLaw MixedMomentRule NumericalError PHASE
     RADEMACHER SimulationReport SpectrumSample TauModel WalkGraph bell build_graph
-    c1_count canonicalize carleman_check cdf classify classify_rows
+    c1_count canonicalize cdf classify classify_rows
     count_consecutive_violations degree delta1_partner delta1_rows density dump_graph
     edge_counts enumerate_canonical esd
     exact_mean_trace_moment falling_factorial gram_matrix graph_expectation_weight
@@ -21,7 +21,7 @@ PUBLIC = """
 
 
 def test_public_names_resolve():
-    assert len(PUBLIC) == 50
+    assert len(PUBLIC) == 49
     assert [name for name in PUBLIC if not hasattr(tensormp, name)] == []
 
 
@@ -46,7 +46,6 @@ BAD_ARGUMENTS = {
     "falling_factorial": lambda: tensormp.falling_factorial(5, -1),
     "c1_count": lambda: tensormp.c1_count(1, 0),
     "mp_moment": lambda: tensormp.mp_moment(2, 0.0),
-    "carleman_check": lambda: tensormp.carleman_check([1.0], 0.0),
     "noncrossing_limit_sum": lambda: tensormp.claims.noncrossing_limit_sum(
         2, 0.0, tensormp.TauModel.constant()
     ),

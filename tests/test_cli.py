@@ -53,6 +53,20 @@ def test_verify_failure_prints_counterexample(monkeypatch, capsys):
     assert "OVERALL FAIL suite=sequences claims=4 failed=1" in out
 
 
+def test_verify_reports_a_raising_claim_as_fail(monkeypatch, capsys):
+    def boom(p):
+        raise ZeroDivisionError("planted")
+        yield
+
+    claim = claims.CLAIMS["canonical order"]
+    monkeypatch.setitem(claims.CLAIMS, claim.name, dataclasses.replace(claim, check=boom))
+    rc, out, _ = run(capsys, "verify", "sequences", "--p-max", "4")
+    assert rc == 4
+    assert "FAIL canonical order p<=4: raised ZeroDivisionError: planted\n" in out
+    assert "PASS degree sums p<=4: " in out and "PASS crossing scan agreement p<=4: " in out
+    assert "OVERALL FAIL suite=sequences claims=4 failed=1" in out
+
+
 def test_verify_applies_the_cap_and_run_takes_p_as_given(monkeypatch, capsys):
     seen = []
     claim = dataclasses.replace(

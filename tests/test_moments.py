@@ -105,13 +105,6 @@ def test_tau_empirical_moments():
     assert moments((1.0, -1.0), 2) == [0.0, 1.0]
 
 
-def test_carleman_check():
-    ok, bad = t.carleman_check([1.0, 2.0, 6.0], 2.0)
-    assert ok and bad is None
-    ok, bad = t.carleman_check([1.0, 100.0], 1.0)
-    assert not ok and bad == 2
-
-
 def test_mixed_moment_rules():
     phase = t.uniform_phase_rule()
     rad = t.rademacher_rule()

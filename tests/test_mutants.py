@@ -50,15 +50,19 @@ class Mutant:
 
 
 CAUGHT = [
-    Mutant("a value may jump by two", sequences, "_enumeration",
-           edit("range(1, max(a) + 2)", "range(1, max(a) + 3)"),
+    Mutant("a value may jump by two", sequences, "canonical_array",
+           edit("cols.max(axis=1).astype(np.intp) + 2", "cols.max(axis=1).astype(np.intp) + 3"),
            ("canonical counts", "canonical order", "non-crossing counts", "tree partner uniqueness",
-            "limit equals non-crossing sum")),
-    Mutant("values tried in decreasing order", sequences, "_enumeration",
-           edit("range(1, max(a) + 2)", "range(max(a) + 1, 0, -1)"),
+            "limit equals non-crossing sum", "paired partner counts", "dichotomy",
+            "exact oracle vs exhaustive", "exact oracle equals pairwise sum", "phase weight iff paired",
+            "phase inner factor collapse", "fixed-n limit", "crossing decay",
+            "rademacher crossing persistence")),
+    Mutant("values tried in decreasing order", sequences, "canonical_array",
+           edit("np.arange(ends[-1]) - np.repeat(ends - reps, reps)",
+                "np.repeat(ends - 1, reps) - np.arange(ends[-1])"),
            ("canonical order", "paired partner counts")),
     Mutant("degree counts values at least t", sequences, "degree",
-           edit("if v == t", "if v >= t"),
+           edit("np.asarray(alpha) == t", "np.asarray(alpha) >= t"),
            ("degree sums",)),
     Mutant("a recurring value compared with the oldest open one", sequences, "is_crossing",
            edit("stack[-1] != v", "stack[0] != v"),
@@ -106,6 +110,9 @@ CAUGHT = [
     Mutant("continuous part of the CDF scaled by 1 + 1e-6", mplaw, "cdf",
            edit("np.minimum(1.0, cont", "np.minimum(1.0, 1.000001 * cont"),
            ("law cdf equals closed form",)),
+    Mutant("no atom at x = 0", mplaw, "cdf",
+           edit("law.atom * (xs >= 0.0)", "law.atom * (xs > 0.0)"),
+           ("law cdf equals closed form",)),
     Mutant("class size forgotten", moments, "exact_mean_trace_moment",
            edit("total += size * tau_fac", "total += tau_fac"),
            ("exact oracle vs exhaustive", "exact oracle equals pairwise sum", "fixed-n limit")),
@@ -134,9 +141,6 @@ SURVIVING = [
            edit("reflect=np.array_equal(table, table.T)", "reflect=True"),
            reason="equivalent: every rule a claim runs is symmetric, so reversal is "
                   "always a symmetry of its classes"),
-    Mutant("no atom at x = 0", mplaw, "cdf",
-           edit("law.atom * (xs >= 0.0)", "law.atom * (xs > 0.0)"),
-           reason="no claim reads the CDF at the atom: the law cdf claim samples (a, b) only"),
     Mutant("one Gram leg without its conjugate", simulation, "gram_matrix",
            edit("np.matmul(V0[rows], V0h,", "np.matmul(V0[rows], V0h.conj(),"),
            reason="no claim runs the simulator until the spectra suite exists"),
@@ -152,7 +156,7 @@ SURVIVING = [
 def plant(monkeypatch):
     """Plant a mutant in every module that bound the original, with the
     memos that a fault could fill cleared before and after."""
-    memos = (comb.stirling2, sequences._enumeration, claims._pairwise_counts)
+    memos = (comb.stirling2, sequences.canonical_array, claims._pairwise_counts)
 
     def clear():
         for memo in memos:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -70,7 +72,7 @@ def test_enumeration_s_filter_partitions_whole():
 
 
 def test_enumeration_cache_cannot_be_corrupted():
-    # each length is enumerated once per process; callers get their own lists
+    # each length is built once per process, as one array; callers get their own lists
     for args in ((6,), (6, 3)):
         got = enumerate_canonical(*args)
         want = list(got)
@@ -84,11 +86,20 @@ def test_enumeration_cache_cannot_be_corrupted():
             assert enumerate_canonical(p, s) == [a for a in full if max(a) == s]
         assert np.array_equal(canonical_array(p), np.array(full) - 1)
     cols = canonical_array(5)
+    assert cols.dtype == np.int8 and not cols.flags.writeable
     with pytest.raises(ValueError):
         cols[0, 0] = 3
     with pytest.raises(ValueError):
         cols += 1
     assert canonical_array(5)[0].tolist() == [0] * 5
+
+
+def test_enumeration_equals_fixed_points_of_canonicalize():
+    # an oracle independent of the level-by-level build: every sequence over
+    # 1..p in lexicographic order, kept when canonicalize leaves it unchanged
+    for p in range(1, 7):
+        every = itertools.product(range(1, p + 1), repeat=p)
+        assert [a for a in every if canonicalize(a) == a] == enumerate_canonical(p)
 
 
 def test_enumeration_bounds():
@@ -125,5 +136,9 @@ def test_degree():
     assert degree((1, 2, 1), 1) == 2
     assert degree((1, 2, 1), 2) == 1
     assert degree((1, 2, 1), 3) == 0
+    assert type(degree((1, 2, 1), 1)) is int
+    rows = np.array([[0, 1, 0], [0, 0, 0], [0, 1, 2]])
+    assert degree(rows, 0).tolist() == [2, 3, 1]
+    assert degree(rows, 3).tolist() == [0, 0, 0]
     assert CLAIMS["degree sums"].run(8) is None
 
