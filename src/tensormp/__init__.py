@@ -20,7 +20,6 @@ from .graphs import (
     classify_rows,
     count_consecutive_violations,
     delta1_partner,
-    delta1_rows,
     dump_graph,
     edge_counts,
     is_delta1,

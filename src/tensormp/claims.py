@@ -80,12 +80,14 @@ def crossing_by_quartic_scan(alpha) -> bool:
 
 
 def brute_partner_search(alpha, cols: np.ndarray) -> list:
-    """Every balanced tree partner of alpha, by testing each canonical
-    candidate with p + 1 - s values in one ``delta1_rows`` pass; ``cols``
-    holds every canonical sequence of length p, 0-based."""
+    """Every balanced tree partner of alpha: each canonical candidate with
+    p + 1 - s values has r + s = p + 1 vertices, so the paired ones of one
+    ``classify_rows`` pass are the partners (``is_delta1``); ``cols`` holds
+    every canonical sequence of length p, 0-based."""
     p, s = len(alpha), max(alpha)
     cands = cols[cols.max(axis=1) == p - s]
-    return [tuple(i) for i in (cands[graphs.delta1_rows(alpha, cands)] + 1).tolist()]
+    paired = graphs.classify_rows(alpha, cands) == graphs.GraphClass.PAIRED
+    return [tuple(i) for i in (cands[paired] + 1).tolist()]
 
 
 def stirling_explicit(n: int, k: int) -> Fraction:
@@ -158,8 +160,10 @@ def _pairwise_counts(alpha: tuple, rule: moments.MixedMomentRule) -> tuple:
 
 def pairwise_inner_factor(alpha, n: int, rule: moments.MixedMomentRule) -> Fraction:
     """``moments.inner_factor`` as the walk-graph sum over every canonical i:
-    sum_r n^(r) N_r / n^p from ``pairwise_counts``."""
-    return moments._inner_from_counts(pairwise_counts(alpha, rule), n)
+    sum_r n^(r) N_r / n^p from ``pairwise_counts``, summed here and not by
+    the exact path's own step."""
+    terms = enumerate(pairwise_counts(alpha, rule))
+    return sum(comb.falling_factorial(n, r) * N for r, N in terms) / Fraction(n) ** len(alpha)
 
 
 def pairwise_mean_trace_moment(
@@ -291,10 +295,9 @@ def _paired_counts(p_max):
     for a, _, cols in _sequences(p_max, noncrossing=True):
         p, s = len(a), max(a)
         paired = cols[graphs.classify_rows(a, cols) == graphs.GraphClass.PAIRED]
-        partner = graphs.delta1_partner(a)
         for r in range(1, p + 1):
             brute = [tuple(i) for i in (paired[paired.max(axis=1) == r - 1] + 1).tolist()]
-            image = graphs.relabel_partner(partner, sequences.enumerate_canonical(p + 1 - s, r))
+            image = graphs.paired_partners(a, r)
             if image != brute or len(brute) != comb.stirling2(p + 1 - s, r):
                 yield f"alpha={a} r={r} constructed={image} classified={brute}"
 

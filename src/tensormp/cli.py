@@ -250,8 +250,11 @@ def cmd_moments(args) -> int:
 
     rows = []
     for p in range(1, args.p_max + 1):
-        theory = moments.limiting_moment(p, args.c, tau)
-        value = exact_fn(p) if exact_fn is not None else None
+        try:
+            theory = moments.limiting_moment(p, args.c, tau)
+            value = exact_fn(p) if exact_fn is not None else None
+        except OverflowError as exc:
+            raise NumericalError(f"moment p={p} is beyond double range ({exc})") from exc
         rows.append((p, theory, value, None if value is None else abs(theory - value)))
     csv_text = _csv(config, "p,theory,exact_or_mc,abs_error", rows)
     sys.stdout.write(csv_text)

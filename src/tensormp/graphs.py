@@ -10,10 +10,10 @@ trace contribution survives, which is what the classification below
 captures. A non-crossing alpha has exactly one tree partner, the
 Kreweras complement of its partition (Nica & Speicher 2006, Lecture 9).
 
-``build_graph``, ``classify`` and ``is_delta1`` take one pair; their row
-versions ``edge_counts``, ``classify_rows`` and ``delta1_rows`` take one
-alpha and an array of canonical i, one per row, and count every row's
-edges in one numpy pass.
+``build_graph``, ``classify`` and ``is_delta1`` take one pair; the row
+versions ``edge_counts`` and ``classify_rows`` take one alpha and an
+array of canonical i, one per row, and count every row's edges in one
+numpy pass.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .sequences import Canon, canonicalize, enumerate_canonical, is_crossing
+from .sequences import Canon, canonical_array, canonicalize
 
 EdgeKey = tuple[int, int]  # (alpha-value, i-value)
 
@@ -143,16 +143,6 @@ def classify_rows(alpha: Iterable[int], cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def delta1_rows(alpha: Iterable[int], cols: np.ndarray) -> np.ndarray:
-    """``is_delta1`` of each row with alpha, as a bool array: the paired rows
-    of ``classify_rows`` with p + 1 vertices; ``cols`` is as in
-    ``edge_counts``, so a row's r distinct values are its max + 1."""
-    alpha = tuple(alpha)
-    cols = np.asarray(cols)
-    tree = cols.max(axis=1) + 1 + len(set(alpha)) == len(alpha) + 1
-    return tree & (classify_rows(alpha, cols) == GraphClass.PAIRED)
-
-
 def delta1_partner(alpha: Iterable[int]) -> Canon | None:
     """The unique i-sequence forming a glued tree with alpha, if one exists.
 
@@ -163,32 +153,40 @@ def delta1_partner(alpha: Iterable[int]) -> Canon | None:
     and prev(u + 1) share an i-value, where prev steps back to the
     previous position of the same alpha-value, cyclically. The i-values
     are the cycles of u -> prev(u + 1), numbered by smallest position.
+
+    With pi the permutation whose cycles are alpha's blocks (u to the next
+    position of its value) and gamma the shift u -> u + 1, that map is
+    pi^-1 gamma, and #(pi) + #(pi^-1 gamma) <= p + 1 with equality iff
+    pi is non-crossing (Biane 1997, "Some properties of crossings and
+    partitions"). So alpha crosses iff the cycles number fewer than
+    p + 1 - s, and the count alone decides.
     """
     alpha = canonicalize(alpha)
-    if is_crossing(alpha):
-        return None
     p = len(alpha)
     last = {a: u for u, a in enumerate(alpha)}
     prev = []
     for u, a in enumerate(alpha):
         prev.append(last[a])
         last[a] = u
-    i_seq = [0] * p
+    i_seq, label = [0] * p, 0
     for start in range(p):
         if not i_seq[start]:
-            label, v = max(i_seq) + 1, start
+            label, v = label + 1, start
             while not i_seq[v]:
                 i_seq[v] = label
                 v = prev[(v + 1) % p]
-    return tuple(i_seq)
+    return tuple(i_seq) if label + max(alpha) == p + 1 else None
 
 
 def paired_partners(alpha: Iterable[int], r: int) -> list[Canon]:
-    """All i-sequences with r distinct values whose walk graph is paired.
+    """All i-sequences with r distinct values whose walk graph is paired,
+    sorted; r beyond p+1-s gives an empty list. Crossing alpha raises
+    ValueError.
 
-    Constructed as images of the tree partner under block-label maps (see
-    ``relabel_partner``); the image count is S(p+1-s, r), and r beyond
-    p+1-s gives an empty list. Crossing alpha raises ValueError.
+    They are the images of the tree partner, with q = p+1-s values, under
+    the block maps of {1, ..., q} into r blocks: each canonical row of
+    length q with r values relabels the partner's values by their block,
+    so the image count is S(q, r).
     """
     alpha = canonicalize(alpha)
     if not 1 <= r <= len(alpha):
@@ -196,21 +194,11 @@ def paired_partners(alpha: Iterable[int], r: int) -> list[Canon]:
     base = delta1_partner(alpha)
     if base is None:
         raise ValueError(f"alpha={alpha} is crossing; paired partners need a tree partner")
-    return relabel_partner(base, enumerate_canonical(max(base), r))
-
-
-def relabel_partner(partner: Canon, blocks: Iterable[Canon]) -> list[Canon]:
-    """Images of a tree partner with q = p+1-s values under block-label
-    maps, sorted.
-
-    Each block sequence (a canonical sequence of length q, the partition
-    of {1, ..., q} into its values) relabels the partner's values by their
-    block. With ``enumerate_canonical(q, r)`` as blocks the images are the
-    paired partners with r values, so one partner serves every r.
-    """
-    # partner lists values in first-appearance order and blocks are
-    # numbered by least element, so each image is already canonical
-    return sorted(tuple(pi[v - 1] for v in partner) for pi in blocks)
+    blocks = canonical_array(max(base))
+    blocks = blocks[blocks.max(axis=1) == r - 1]
+    # base lists values in first-appearance order and blocks are numbered by
+    # least element, so each image is already canonical
+    return sorted(map(tuple, (blocks[:, np.array(base) - 1] + 1).tolist()))
 
 
 @dataclass(frozen=True)

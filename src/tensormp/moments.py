@@ -137,8 +137,8 @@ class EntryDistribution:
         return None
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """I.i.d. entries of modulus exactly 1: float64 for Rademacher,
-        complex128 otherwise."""
+        """I.i.d. entries of modulus 1: exactly 1 for Rademacher (float64),
+        within an ulp of 1, 2.2e-16, otherwise (complex128)."""
         if self.alphabet is None:
             return np.exp(2j * np.pi * rng.random(shape))
         return self.alphabet[rng.integers(0, len(self.alphabet), shape)]

@@ -10,7 +10,7 @@ PUBLIC = """
     P_CAP EntryDistribution GraphClass MPLaw MixedMomentRule NumericalError PHASE
     RADEMACHER SimulationReport SpectrumSample TauModel WalkGraph bell build_graph
     c1_count canonicalize cdf classify classify_rows
-    count_consecutive_violations degree delta1_partner delta1_rows density dump_graph
+    count_consecutive_violations degree delta1_partner density dump_graph
     edge_counts enumerate_canonical esd
     exact_mean_trace_moment falling_factorial gram_matrix graph_expectation_weight
     hermitian_eigenvalues inner_factor is_canonical is_crossing is_delta1 ks_distance
@@ -21,7 +21,7 @@ PUBLIC = """
 
 
 def test_public_names_resolve():
-    assert len(PUBLIC) == 49
+    assert len(PUBLIC) == 48
     assert [name for name in PUBLIC if not hasattr(tensormp, name)] == []
 
 

@@ -534,7 +534,6 @@ def test_simulate_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
     "argv",
     [
         "moments --c inf",
-        "moments --c 1e200",
         "moments --c 0.5 --p-max 3 --n 2 --dist rademacher",
         "simulate --n 2 --k 1 --c inf",
         "simulate --n 2 --k 1 --c 1e300",
@@ -565,6 +564,25 @@ def test_bad_flag_is_usage_error(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("usage error: ") and "Traceback" not in err
     if "--seed" in argv:  # numpy's own message would name no flag
         assert "--seed=-1 must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "moments --c 1e200",
+        "moments --c 1e300 --p-max 2",
+        "moments --c 0.5 --tau const:1e200 --p-max 2",
+        "moments --c 1 --tau file:{huge} --n 2 --k 2 --m 4",
+    ],
+)
+def test_moment_beyond_double_range_is_numerical_failure(tmp_path, capsys, argv):
+    # every flag is in its domain and p = 1 succeeds; the p = 2 moment exceeds a double
+    (tmp_path / "huge").write_text("1e200\n" * 4)
+    argv = argv.format(huge=tmp_path / "huge")
+    rc, out, err = run(capsys, *argv.split(), "--out", str(tmp_path / "out"))
+    assert rc == 3 and out == ""
+    assert err.startswith("numerical failure: moment p=2 ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import tensormp as t
 from tensormp import GraphClass, sequences
-from tensormp.claims import CLAIMS
+from tensormp.claims import CLAIMS, brute_partner_search
 
 
 def test_build_graph_shape():
@@ -104,13 +104,13 @@ def test_classify_rows_matches_classify():
             assert list(t.classify_rows(a, cols)) == want, a
 
 
-def test_delta1_rows_matches_is_delta1():
+def test_brute_partner_search_matches_is_delta1():
     # every candidate set of the tree partner uniqueness claim
     for p in range(1, 8):
+        cols = sequences.canonical_array(p)
         for a in t.enumerate_canonical(p):
-            cands = t.enumerate_canonical(p, p + 1 - max(a))
-            want = [t.is_delta1(i, a) for i in cands]
-            assert t.delta1_rows(a, _cols(cands)).tolist() == want, a
+            want = [i for i in t.enumerate_canonical(p, p + 1 - max(a)) if t.is_delta1(i, a)]
+            assert brute_partner_search(a, cols) == want, a
 
 
 def test_delta1_rows_needs_p_plus_1_values():
@@ -119,8 +119,7 @@ def test_delta1_rows_needs_p_plus_1_values():
     a = (1, 2, 1, 2)
     ((_, down, up),) = t.edge_counts(a, _cols([(1, 2, 2, 1)]))
     assert (down == up).all() and down.max() == 1
-    seqs = t.enumerate_canonical(4)
-    assert t.delta1_rows(a, _cols(seqs)).tolist() == [t.is_delta1(i, a) for i in seqs]
+    assert not t.is_delta1((1, 2, 2, 1), a)
 
 
 canonical_pairs = st.integers(1, 8).flatmap(
@@ -151,7 +150,6 @@ def test_row_functions_across_blocks():
         blocks = [rows for rows, _, _ in t.edge_counts(a, cols)]
         assert len(blocks) > 1 and blocks[-1].stop == len(cols)
         assert (t.classify_rows(a, cols) == np.tile(t.classify_rows(a, _cols(seqs)), 72_000)).all()
-        assert (t.delta1_rows(a, cols) == np.tile(t.delta1_rows(a, _cols(seqs)), 72_000)).all()
 
 
 def test_row_functions_reject_wrong_length():
@@ -166,6 +164,13 @@ def test_partner_known_values():
     assert t.delta1_partner((1, 2, 1)) == (1, 1, 2)
     assert t.delta1_partner((1, 2, 2, 2)) == (1, 2, 3, 1)
     assert t.delta1_partner((1, 2, 1, 2)) is None
+
+
+def test_partner_exists_iff_non_crossing():
+    # the partner counts its cycles and never asks is_crossing; the claims stop at p = 7
+    for p in range(1, 10):
+        for a in t.enumerate_canonical(p):
+            assert (t.delta1_partner(a) is None) == t.is_crossing(a), a
 
 
 def test_partner_accepts_non_canonical_input():

@@ -71,8 +71,11 @@ CAUGHT = [
     Mutant("Kreweras step taken forward", graphs, "delta1_partner",
            edit("v = prev[(v + 1) % p]", "v = prev[(v - 1) % p]"),
            ("tree partner uniqueness", "paired partner counts", "tree partner diagnostics")),
-    Mutant("partner relabelled by the wrong block", graphs, "relabel_partner",
-           edit("pi[v - 1]", "pi[-v]"),
+    Mutant("crossing alpha given a partner", graphs, "delta1_partner",
+           edit("== p + 1", "<= p + 1"),
+           ("tree partner uniqueness",)),
+    Mutant("partner relabelled by the wrong block", graphs, "paired_partners",
+           edit("np.array(base) - 1", "-np.array(base)"),
            ("paired partner counts",)),
     Mutant("an odd edge count read as other", graphs, "classify_rows",
            edit("(diff == 1)", "(diff == 2)"),
@@ -128,7 +131,7 @@ CAUGHT = [
     Mutant("inner factor uses n^r for n^(r)", moments, "_inner_from_counts",
            edit("falling_factorial(n, r)", "n**r"),
            ("phase inner factor collapse", "crossing decay", "rademacher crossing persistence",
-            "exact oracle vs exhaustive", "fixed-n limit")),
+            "exact oracle vs exhaustive", "exact oracle equals pairwise sum", "fixed-n limit")),
 ]
 
 SURVIVING = [
