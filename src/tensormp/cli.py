@@ -34,6 +34,7 @@ import math
 import os
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -283,9 +284,10 @@ def cmd_simulate(args) -> int:
     signed = min(tau.coefficients) < 0
     need = simulation.estimate_gram_bytes(m, nk, signed, real=dist.kind == "rademacher") * concurrent
     if need > args.mem_limit:
+        gb = lambda size: f"{Decimal(size).scaleb(-9):.3g} GB"  # ints beyond float range too
         raise UsageError(
-            f"estimated working set {need / 1e9:.2f} GB ({concurrent} concurrent trials at "
-            f"m={m}) exceeds limit {args.mem_limit / 1e9:.2f} GB; raise --mem-limit or lower --threads"
+            f"estimated working set {gb(need)} ({concurrent} concurrent trials at "
+            f"m={Decimal(m):.3g}) exceeds limit {gb(args.mem_limit)}; raise --mem-limit or lower --threads"
         )
     coeffs = tau.coefficients * (m // len(tau.coefficients))  # m weights, const: expanded
     if simulation.constant_weight(coeffs) is None:

@@ -226,6 +226,7 @@ def graph_expectation_weight(i_seq, alpha, rule: MixedMomentRule) -> int:
     return w
 
 
+@functools.cache
 def _mu_table(rule: MixedMomentRule, p: int) -> np.ndarray:
     """table[a, b] = rule.mu(a, b) for a, b in 0..p, the weight of one
     (alpha-value, i-value) key with a up and b down edges.
@@ -234,46 +235,38 @@ def _mu_table(rule: MixedMomentRule, p: int) -> np.ndarray:
     never visits has no edges, and an absent key contributes no factor. The
     table is int64 when every entry is 0 or +-1, so a product of entries
     cannot overflow; otherwise it holds the rule's own exact numbers.
+    Memoized on (rule, p) and shared, so it is read-only.
     """
     values = [[rule.mu(a, b) for b in range(p + 1)] for a in range(p + 1)]
     values[0][0] = 1
     small = all(isinstance(v, int) and abs(v) <= 1 for row in values for v in row)
-    return np.array(values, dtype=np.int64 if small else object)
-
-
-def _column_counts(alpha: Sequence[int], table: np.ndarray, cols: np.ndarray) -> list:
-    """[N_0, ..., N_p]: N_r sums the walk-graph weight n^p E(i, alpha) over
-    the canonical i with r distinct values.
-
-    ``cols`` is the Bell(p) x p array of canonical i, 0-based. A row's
-    weight is the product of table[up, down] over its ``edge_counts``.
-    """
-    r = cols.max(axis=1) + 1
-    counts = np.zeros(len(table), dtype=table.dtype)
-    for rows, down, up in edge_counts(alpha, cols):
-        np.add.at(counts, r[rows], table[up, down].prod(axis=1))
-    return counts.tolist()
-
-
-def _inner_from_counts(counts: Sequence, n: int) -> Fraction:
-    """sum_r n^(r) N_r / n^p, the inner factor from its column counts."""
-    p = len(counts) - 1
-    return sum(falling_factorial(n, r) * c for r, c in enumerate(counts)) / Fraction(n) ** p
+    table = np.array(values, dtype=np.int64 if small else object)
+    table.flags.writeable = False
+    return table
 
 
 def inner_factor(alpha, n: int, rule: MixedMomentRule) -> Fraction:
     """The per-leg column sum: sum_r n^(r) sum_{i in C_{r,p}} E(i, alpha).
 
-    Exact rational in n, evaluated from alpha's column counts N_r, so it
-    is a polynomial in n of degree p over n^p. For the uniform-phase rule
-    and non-crossing alpha this collapses to n^(1-s) via the Stirling
-    identity, because the paired i with r distinct values number
-    S(p+1-s, r). The walk-graph sum it replaces is the test oracle
-    ``claims.pairwise_inner_factor``.
+    Evaluated as sum_r n^(r) N_r / n^p from alpha's column counts N_r:
+    N_r sums the walk-graph weight n^p E(i, alpha) over the canonical i
+    with r distinct values, the rows of ``canonical_array(p)``. A row's
+    weight is the product of ``_mu_table`` entries table[up, down] over
+    its ``edge_counts``. Exact rational in n, a polynomial in n of degree
+    p over n^p. For the uniform-phase rule and non-crossing alpha this
+    collapses to n^(1-s) via the Stirling identity, because the paired i
+    with r distinct values number S(p+1-s, r). The walk-graph sum it
+    replaces is the test oracle ``claims.pairwise_inner_factor``.
     """
     alpha = canonicalize(alpha)
     p = len(alpha)
-    return _inner_from_counts(_column_counts(alpha, _mu_table(rule, p), canonical_array(p)), n)
+    table, cols = _mu_table(rule, p), canonical_array(p)
+    distinct = cols.max(axis=1) + 1
+    counts = np.zeros(p + 1, dtype=table.dtype)
+    for rows, down, up in edge_counts(alpha, cols):
+        np.add.at(counts, distinct[rows], table[up, down].prod(axis=1))
+    terms = enumerate(counts.tolist())
+    return sum(falling_factorial(n, r) * N for r, N in terms) / Fraction(n) ** p
 
 
 def _rotation_classes(seqs: Sequence[Canon], reflect: bool) -> list[tuple[Canon, int]]:
@@ -351,14 +344,11 @@ def exact_mean_trace_moment(
     if min(n, k, m) < 1:
         raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     tau_factor = _tau_factor(tau, m, p)
-    table = _mu_table(rule, p)
-    seqs, cols = enumerate_canonical(p), canonical_array(p)
+    seqs, table = enumerate_canonical(p), _mu_table(rule, p)
     total = Fraction(0)
     for alpha, size in _rotation_classes(seqs, reflect=np.array_equal(table, table.T)):
         tau_fac = tau_factor(Counter(alpha).values())
-        if tau_fac == 0:
-            continue
-        inner = _inner_from_counts(_column_counts(alpha, table, cols), n)
-        total += size * tau_fac * inner**k
+        if tau_fac != 0:
+            total += size * tau_fac * inner_factor(alpha, n, rule) ** k
     return float(total / Fraction(n) ** k)
 

@@ -244,6 +244,16 @@ def test_simulate_memory_guard(capsys):
     assert "exceeds limit" in err
 
 
+@pytest.mark.parametrize("nk", ["--n 2 --k 1", "--n 10 --k 10"])
+def test_memory_guard_refusal_is_one_short_line(capsys, nk):
+    # at c = 1e300, m = round(c n^k) has 301 digits, and at n^k = 1e10 the
+    # working-set estimate passes float range
+    rc, out, err = run(capsys, "simulate", *nk.split(), "--c", "1e300")
+    assert rc == 2 and out == ""
+    (line,) = err.splitlines()
+    assert "exceeds limit" in line and len(line) < 200
+
+
 def test_memory_guard_counts_concurrent_trials(monkeypatch, capsys):
     # one tau = 1 trial at m = 100 is estimated at 0.32 MB, two at once at 0.64 MB
     argv = "simulate --n 10 --k 2 --m 100 --trials 2 --mem-limit 5e5".split()

@@ -1,5 +1,5 @@
 """Each demo script, and README's library quickstart, runs to completion
-from a source checkout."""
+from a source checkout, with every warning raised as an error."""
 
 import os
 import re
@@ -21,6 +21,7 @@ def test_demo_runs(script, tmp_path):
         script.write_text(block)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr

@@ -192,13 +192,24 @@ def test_inner_factor_collapse_for_phase():
 
 @pytest.mark.parametrize("rule", [*SYMMETRIC_RULES, SKEW], ids=lambda r: r.name)
 def test_inner_factor_equals_pairwise_sum(rule):
-    # the walk-graph weight does not depend on n, so each (i, alpha) is weighed
-    # once and its counts serve every n, as in pairwise_inner_factor
+    # the walk-graph sum weighs each (i, alpha) once per rule, and its memoized
+    # counts serve every n
     for p in range(1, 7):
         for a in t.enumerate_canonical(p):
-            counts = pairwise_counts(a, rule)
             for n in range(1, 6):
-                assert t.inner_factor(a, n, rule) == moments._inner_from_counts(counts, n), (a, n)
+                assert t.inner_factor(a, n, rule) == pairwise_inner_factor(a, n, rule), (a, n)
+
+
+def test_mu_table_cache_cannot_be_corrupted():
+    # one table per (rule, p), shared by every inner factor, so it is read-only
+    for rule in (t.rademacher_rule(), SKEW):
+        table = moments._mu_table(rule, 5)
+        assert moments._mu_table(rule, 5) is table
+        with pytest.raises(ValueError):
+            table[1, 1] = 7
+        with pytest.raises(ValueError):
+            table += 1
+    assert moments._mu_table(t.rademacher_rule(), 5)[1, 1] == 1
 
 
 def test_rules_that_share_a_name_stay_apart():

@@ -128,7 +128,7 @@ CAUGHT = [
     Mutant("edge weight reads up twice", moments, "graph_expectation_weight",
            edit("g.down.get(kv, 0)", "g.up.get(kv, 0)"),
            ("phase weight iff paired", "exact oracle equals pairwise sum")),
-    Mutant("inner factor uses n^r for n^(r)", moments, "_inner_from_counts",
+    Mutant("inner factor uses n^r for n^(r)", moments, "inner_factor",
            edit("falling_factorial(n, r)", "n**r"),
            ("phase inner factor collapse", "crossing decay", "rademacher crossing persistence",
             "exact oracle vs exhaustive", "exact oracle equals pairwise sum", "fixed-n limit")),
@@ -159,7 +159,7 @@ SURVIVING = [
 def plant(monkeypatch):
     """Plant a mutant in every module that bound the original, with the
     memos that a fault could fill cleared before and after."""
-    memos = (comb.stirling2, sequences.canonical_array, claims._pairwise_counts)
+    memos = (comb.stirling2, sequences.canonical_array, moments._mu_table, claims._pairwise_counts)
 
     def clear():
         for memo in memos:
