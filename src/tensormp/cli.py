@@ -169,13 +169,11 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
         dest = key.replace("-", "_")
         if dest in ("command", "func", "config", "suite") or not hasattr(args, dest):
             raise UsageError(f"--config key {key!r} names no flag of {args.command}")
-        flag = "--" + dest.replace("_", "-")
-        if not isinstance(getattr(args, dest), bool):
-            tokens += [flag, str(value)]
-        elif isinstance(value, bool):  # an on/off flag
-            tokens += [flag] if value else []
-        else:
-            raise UsageError(f"--config key {key!r} must be true or false")
+        flag, on_off = "--" + dest.replace("_", "-"), isinstance(getattr(args, dest), bool)
+        if on_off != isinstance(value, bool) or value is None or isinstance(value, (list, dict)):
+            want = "true or false" if on_off else "a number or a string"
+            raise UsageError(f"--config key {key!r} must be {want}, not {json.dumps(value)}")
+        tokens += ([flag] if value else []) if on_off else [flag, str(value)]
     return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 

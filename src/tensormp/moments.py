@@ -26,7 +26,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -86,9 +86,10 @@ class TauModel:
 class MixedMomentRule:
     """Mixed moments mu(a, b) = E[xi^a conj(xi)^b] of the entry law.
 
-    The entry law must be centered with unit modulus, so mu(0,0) = 1,
-    mu(1,1) = 1 and mu(1,0) = mu(0,1) = 0. The built-in rules return
-    exact ints, which keeps the oracle's rational arithmetic exact.
+    mu must be the real mixed moments of a law, so mu(0, 0) = 1 and mu is
+    symmetric, which ``_mu_table`` checks. Centering and unit variance matter
+    for the limit, not for the exact sum. The built-in rules return exact
+    ints, which keeps the oracle's rational arithmetic exact.
 
     Rules compare and hash by ``name`` and by ``mu``, a function that
     equals only itself, so a cache may be keyed on a rule: two rules
@@ -231,14 +232,15 @@ def _mu_table(rule: MixedMomentRule, p: int) -> np.ndarray:
     """table[a, b] = rule.mu(a, b) for a, b in 0..p, the weight of one
     (alpha-value, i-value) key with a up and b down edges.
 
-    table[0, 0] is 1 whatever the rule says: only a key that the walk
-    never visits has no edges, and an absent key contributes no factor. The
-    table is int64 when every entry is 0 or +-1, so a product of entries
-    cannot overflow; otherwise it holds the rule's own exact numbers.
-    Memoized on (rule, p) and shared, so it is read-only.
+    A table with mu(0, 0) != 1 or mu(a, b) != mu(b, a) is no law's (see
+    ``MixedMomentRule``) and raises ValueError. It is int64 when every entry
+    is 0 or +-1, so a product of entries cannot overflow; otherwise it holds
+    the rule's own exact numbers. Memoized on (rule, p), so each rule is
+    checked once, and shared, so it is read-only.
     """
     values = [[rule.mu(a, b) for b in range(p + 1)] for a in range(p + 1)]
-    values[0][0] = 1
+    if values[0][0] != 1 or values != [list(col) for col in zip(*values)]:
+        raise ValueError(f"rule {rule.name!r}: mu(0, 0) != 1 or mu is not symmetric")
     small = all(isinstance(v, int) and abs(v) <= 1 for row in values for v in row)
     table = np.array(values, dtype=np.int64 if small else object)
     table.flags.writeable = False
@@ -269,20 +271,17 @@ def inner_factor(alpha, n: int, rule: MixedMomentRule) -> Fraction:
     return sum(falling_factorial(n, r) * N for r, N in terms) / Fraction(n) ** p
 
 
-def _rotation_classes(seqs: Sequence[Canon], reflect: bool) -> list[tuple[Canon, int]]:
-    """The canonical sequences grouped by the canonical forms of their
-    rotations, and of their reversals when ``reflect``: one (first
-    member, class size) per class, in enumeration order."""
+def _rotation_classes(p: int) -> list[tuple[Canon, int]]:
+    """The canonical sequences of length p grouped by the canonical forms
+    of their rotations and reversals: one (first member, class size) per
+    class, in enumeration order."""
     seen: set[Canon] = set()
     out = []
-    for alpha in seqs:
-        if alpha in seen:
-            continue
-        orbit = set()
-        for seq in (alpha, alpha[::-1]) if reflect else (alpha,):
-            orbit.update(canonicalize(seq[j:] + seq[:j]) for j in range(len(seq)))
-        seen |= orbit
-        out.append((alpha, len(orbit)))
+    for alpha in enumerate_canonical(p):
+        if alpha not in seen:
+            orbit = {canonicalize(s[j:] + s[:j]) for s in (alpha, alpha[::-1]) for j in range(p)}
+            seen |= orbit
+            out.append((alpha, len(orbit)))
     return out
 
 
@@ -335,18 +334,17 @@ def exact_mean_trace_moment(
     limiting formula.
 
     The trace is cyclic, so both factors are the same for every rotation
-    of alpha, and reversing the walk swaps its up and down edges, which
-    leaves them unchanged when mu is symmetric. Each class of alpha under
-    those moves is evaluated once, and each tau factor once per degree
-    multiset. The sum over every alpha is the test oracle
-    ``claims.pairwise_mean_trace_moment``.
+    of alpha. Reversal swaps up and down edges, which conjugates the weight
+    since E[xi^a conj(xi)^b] = conj E[xi^b conj(xi)^a]; mu is real, so it
+    leaves them unchanged too. Each class of alpha under those moves is
+    evaluated once, and each tau factor once per degree multiset. The sum
+    over every alpha is the test oracle ``claims.pairwise_mean_trace_moment``.
     """
     if min(n, k, m) < 1:
         raise ValueError(f"need n, k, m >= 1, got {n}, {k}, {m}")
     tau_factor = _tau_factor(tau, m, p)
-    seqs, table = enumerate_canonical(p), _mu_table(rule, p)
     total = Fraction(0)
-    for alpha, size in _rotation_classes(seqs, reflect=np.array_equal(table, table.T)):
+    for alpha, size in _rotation_classes(p):
         tau_fac = tau_factor(Counter(alpha).values())
         if tau_fac != 0:
             total += size * tau_fac * inner_factor(alpha, n, rule) ** k

@@ -106,19 +106,22 @@ def trace_moments(G: np.ndarray, tau, P: int, nk_scale: int) -> list[float]:
     it reaches the same numbers without an eigensolve. Tr M^p equals
     Tr B^p for B = D_tau G, and B^p is formed as B^(p-1) B. The model is
     Hermitian, so every trace must be real; an imaginary residue beyond
-    tolerance raises NumericalError.
+    tolerance, or a trace that is not finite, raises NumericalError.
     """
     if P < 1:
         raise ValueError(f"need P >= 1, got {P}")
-    B = _weights(tau, G.shape[0])[:, None] * G
-    power, out = B, []
-    for p in range(1, P + 1):
-        if p > 1:
-            power = power @ B
-        tr = power.trace()
-        if abs(tr.imag) > _IMAG_TOL * max(1.0, abs(tr.real)):
-            raise NumericalError(f"Tr M^{p} has imaginary residue {tr.imag:.3e}")
-        out.append(float(tr.real) / float(nk_scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = _weights(tau, G.shape[0])[:, None] * G
+        power, out = B, []
+        for p in range(1, P + 1):
+            if p > 1:
+                power = power @ B
+            tr = power.trace()
+            if not math.isfinite(tr.real):
+                raise NumericalError(f"Tr M^{p} is {float(tr.real)!r}: not a finite double")
+            if not abs(tr.imag) <= _IMAG_TOL * max(1.0, abs(tr.real)):
+                raise NumericalError(f"Tr M^{p} has imaginary residue {tr.imag:.3e}")
+            out.append(float(tr.real) / float(nk_scale))
     return out
 
 
@@ -499,7 +502,7 @@ def _spectrum_sample(lam, t_gram: float, nk_scale: int, P: int) -> SpectrumSampl
     peak = float(np.max(np.abs(lam))) if lam.size else 0.0
     nonzero = lam[np.abs(lam) > ZERO_TOL * peak] if peak > 0 else lam[:0]
     t_eig = float(lam.sum())
-    if abs(t_eig - t_gram) > 1e-8 * max(1.0, abs(t_gram)):
+    if not abs(t_eig - t_gram) <= 1e-8 * max(1.0, abs(t_gram)):  # NaN fails too
         raise NumericalError(f"trace mismatch: eigenvalue sum {t_eig!r} vs Gram trace {t_gram!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         moments = [float(np.sum(lam**p)) / float(nk_scale) for p in range(1, P + 1)]

@@ -8,11 +8,18 @@ Hypothesis draws the same examples on every run and keeps no example
 database, so no run depends on what an earlier run found. Its other
 storage (the source-constants cache) goes to a temporary directory that
 is removed at exit, so a run writes nothing into the checkout.
+
+On a failing example hypothesis' pytest plugin imports
+``hypothesis.extra._patching``, whose libcst import raises a
+DeprecationWarning; under ``-W error`` that would end the whole run with
+an INTERNALERROR. The module is imported here once, with that warning
+ignored, so a failing property test is reported as one failure.
 """
 
 import atexit
 import shutil
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -21,6 +28,13 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import tensormp as t
 from tensormp import simulation
 from tensormp.cli import _usable_cpus
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is absent; the plugin then reports no patch
+        pass
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")

@@ -603,6 +603,23 @@ def test_config_file_values_are_checked(tmp_path, capsys):
     assert rc == 2 and "usage error: --bins=0 must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "stored",
+    [{"out": None}, {"c": None}, {"out": [1]}, {"c": {"value": 1}}, {"out": True}],
+    ids=["null-out", "null-c", "array-out", "object-c", "bool-out"],
+)
+def test_config_value_that_is_no_flag_value_is_usage_error(tmp_path, monkeypatch, capsys, stored):
+    # JSON null, arrays and objects are not read as their Python text
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(stored))
+    rc, out, err = run(capsys, "moments", "--c", "0.5", "--config", str(cfg))
+    (key,) = stored
+    assert rc == 2 and out == ""
+    assert err.startswith(f"usage error: --config key {key!r} must be a number or a string")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_config_file_sets_on_off_flags(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     argv = "simulate --n 2 --k 1 --m 2 --trials 1 --p-max 1 --config".split()

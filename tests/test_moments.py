@@ -8,6 +8,9 @@ Rademacher, weighted Rademacher, and third and fourth roots of unity;
 the golden values below pin the expansion itself.
 """
 
+import importlib.util
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,10 +28,11 @@ from tensormp.claims import (
     pairwise_mean_trace_moment,
 )
 
-# Not an entry law: an integer mu(a, b) != mu(b, a), whose inner factor
-# is invariant under rotation only (first at p = 6, alpha = (1,1,2,1,2,3)),
-# and whose entries above 1 take the column counts off their int64 path.
+# Not an entry law: mu(a, b) != mu(b, a), so the exact oracle refuses it.
 SKEW = MixedMomentRule("skew", lambda a, b: (a + 1) * (2 * b + 1))
+# The standard complex Gaussian, E[xi^a conj(xi)^b] = a! [a = b]: a law whose
+# entries above 1 take the column counts off their int64 path.
+GAUSS = MixedMomentRule("gauss", lambda a, b: math.factorial(a) * (a == b))
 SYMMETRIC_RULES = [
     t.uniform_phase_rule(),
     t.rademacher_rule(),
@@ -190,7 +194,7 @@ def test_inner_factor_collapse_for_phase():
     assert CLAIMS["phase inner factor collapse"].run(6, ns=(2, 5, 9)) is None
 
 
-@pytest.mark.parametrize("rule", [*SYMMETRIC_RULES, SKEW], ids=lambda r: r.name)
+@pytest.mark.parametrize("rule", [*SYMMETRIC_RULES, GAUSS], ids=lambda r: r.name)
 def test_inner_factor_equals_pairwise_sum(rule):
     # the walk-graph sum weighs each (i, alpha) once per rule, and its memoized
     # counts serve every n
@@ -202,7 +206,7 @@ def test_inner_factor_equals_pairwise_sum(rule):
 
 def test_mu_table_cache_cannot_be_corrupted():
     # one table per (rule, p), shared by every inner factor, so it is read-only
-    for rule in (t.rademacher_rule(), SKEW):
+    for rule in (t.rademacher_rule(), GAUSS):
         table = moments._mu_table(rule, 5)
         assert moments._mu_table(rule, 5) is table
         with pytest.raises(ValueError):
@@ -210,13 +214,14 @@ def test_mu_table_cache_cannot_be_corrupted():
         with pytest.raises(ValueError):
             table += 1
     assert moments._mu_table(t.rademacher_rule(), 5)[1, 1] == 1
+    assert moments._mu_table(GAUSS, 5).dtype == object
 
 
 def test_rules_that_share_a_name_stay_apart():
-    # rules compare by name and mu, so SKEW renamed to a symmetric rule's
-    # name is another rule, and every cache keyed on a rule keeps them apart
-    rad = t.rademacher_rule()
-    twin = MixedMomentRule(rad.name, SKEW.mu)
+    # rules compare by name and mu, so roots:3's mu under Rademacher's name
+    # is another rule, and every cache keyed on a rule keeps them apart
+    rad, r3 = t.rademacher_rule(), t.roots_of_unity_rule(3)
+    twin = MixedMomentRule(rad.name, r3.mu)
     assert twin != rad
     a, tau = (1, 1, 2, 1, 2, 3), TauModel(coefficients=(0.5, 1.25, 2.0))
 
@@ -224,7 +229,7 @@ def test_rules_that_share_a_name_stay_apart():
         return pairwise_inner_factor(a, 2, rule), pairwise_mean_trace_moment(2, 2, 3, 4, tau, rule)
 
     # a dict keyed on the rule would make the same mistake, so pair them in a list
-    want = [(rad, values(rad)), (twin, values(SKEW))]
+    want = [(rad, values(rad)), (twin, values(r3))]
     assert want[0][1] != want[1][1]
     for order in (want, want[::-1]):
         for rule, own in order:
@@ -246,17 +251,16 @@ def test_pairwise_counts_return_a_new_list():
     assert pairwise_counts(a, rad) == [0, 1, 3, 0, 0] != first
 
 
-def test_skew_rule_is_not_reduced_by_reversal(monkeypatch):
-    a = (1, 1, 2, 1, 2, 3)
-    assert t.inner_factor(a, 2, SKEW) != t.inner_factor(a[::-1], 2, SKEW)
-    tau = TauModel(coefficients=(0.5, 1.25, 2.0))
-    want = [pairwise_mean_trace_moment(2, 2, 3, p, tau, SKEW) for p in range(1, 7)]
-    # folding reversals first changes the total at p = 7, where the walk-graph
-    # sum is slow; there the alpha-by-alpha sum takes inner_factor, which the
-    # test above holds equal to the walk-graph sum
-    monkeypatch.setattr(claims, "pairwise_inner_factor", t.inner_factor)
-    want.append(pairwise_mean_trace_moment(2, 2, 3, 7, tau, SKEW))
-    assert [t.exact_mean_trace_moment(2, 2, 3, p, tau, SKEW) for p in range(1, 8)] == want
+def test_table_no_law_has_is_refused():
+    # an asymmetric mu, or mu(0, 0) != 1, is no law's mixed moments
+    double_mass = MixedMomentRule("double mass", lambda a, b: 2 if a == b == 0 else int(a == b))
+    a, tau = (1, 1, 2, 1, 2, 3), TauModel(coefficients=(0.5, 1.25, 2.0))
+    for rule in (SKEW, double_mass):
+        for p in (1, 6):
+            with pytest.raises(ValueError, match=f"rule {rule.name!r}"):
+                t.inner_factor(a[:p], 2, rule)
+            with pytest.raises(ValueError, match=f"rule {rule.name!r}"):
+                t.exact_mean_trace_moment(2, 2, 3, p, tau, rule)
 
 
 def test_exact_oracle_equals_pairwise_sum_claim():
@@ -284,14 +288,20 @@ def test_noncrossing_limit_sum_reads_each_tau_moment_once(monkeypatch):
     st.lists(st.integers(1, 4), min_size=1, max_size=6).map(tuple),
     st.integers(0, 5),
     st.integers(1, 5),
-    st.sampled_from([*SYMMETRIC_RULES, SKEW]),
+    st.sampled_from([*SYMMETRIC_RULES, GAUSS]),
 )
 def test_inner_factor_rotation_and_reversal_invariance(alpha, shift, n, rule):
     j = shift % len(alpha)
     base = t.inner_factor(alpha, n, rule)
     assert t.inner_factor(alpha[j:] + alpha[:j], n, rule) == base
-    if rule is not SKEW:
-        assert t.inner_factor(alpha[::-1], n, rule) == base
+    assert t.inner_factor(alpha[::-1], n, rule) == base
+
+
+def test_failing_example_cannot_end_the_run():
+    # conftest loads the module hypothesis imports to report a failing example,
+    # whose libcst DeprecationWarning would otherwise be an INTERNALERROR
+    # under -W error
+    assert "hypothesis.extra._patching" in sys.modules or importlib.util.find_spec("libcst") is None
 
 
 @pytest.mark.parametrize("spec", ["rademacher", *(f"roots:{q}" for q in range(2, 7))])

@@ -155,6 +155,26 @@ def test_trace_moments_refuse_an_imaginary_trace():
         t.trace_moments(np.array([[1.0 + 1.0j]]), np.ones(1), 1, 1)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trace_moments_refuse_a_trace_beyond_double_range(dtype):
+    # Tr M^2 = 2e400 overflows; no warning escapes, even under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"Tr M\^2 is inf"):
+            t.trace_moments(np.eye(2, dtype=dtype), [1e200, 1e200], 3, 2)
+        with pytest.raises(NumericalError, match=r"Tr M\^1 is nan"):
+            t.trace_moments(np.eye(2, dtype=dtype), [np.nan, 1.0], 1, 2)
+
+
+@pytest.mark.parametrize("P", [0, 2])
+def test_nan_eigenvalue_is_a_trace_mismatch(monkeypatch, P):
+    # a NaN fails the trace identity rather than folding into the zero atom
+    eigh = simulation._eigh_in_place
+    monkeypatch.setattr(simulation, "_eigh_in_place", lambda A: eigh(A) * [np.nan, 1, 1, 1])
+    with pytest.raises(NumericalError, match="trace mismatch: eigenvalue sum nan"):
+        t.esd(np.eye(4, dtype=complex), np.ones(4), 4, P=P)
+
+
 @needs_openblas
 def test_lapack_failure_is_numerical_error(monkeypatch):
     fortran = simulation._fortran
