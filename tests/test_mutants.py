@@ -153,14 +153,13 @@ SURVIVING = [
 
 def _memos():
     """Every module-level functools cache of MODULES, once each."""
-    found = {id(f): f for module in MODULES for f in vars(module).values() if hasattr(f, "cache_clear")}
-    return list(found.values())
+    return {f for module in MODULES for f in vars(module).values() if hasattr(f, "cache_clear")}
 
 
 def test_every_memo_is_cleared():
     # a memo filled by a planted fault could hide it from the next claim
     named = {comb.stirling2, sequences.canonical_array, moments._mu_table, claims._pairwise_counts}
-    assert named <= set(_memos())
+    assert named <= _memos()
 
 
 @pytest.fixture
