@@ -280,7 +280,7 @@ def cmd_simulate(args) -> int:
     dist = moments.EntryDistribution.parse(args.dist)
     concurrent = min(args.threads, args.trials)
     signed = min(tau.coefficients) < 0
-    need = simulation.estimate_gram_bytes(m, nk, signed, real=dist.kind == "rademacher") * concurrent
+    need = simulation.estimate_gram_bytes(m, args.n, args.k, signed, real=dist.kind == "rademacher") * concurrent
     if need > args.mem_limit:
         gb = lambda size: f"{Decimal(size).scaleb(-9):.3g} GB"  # ints beyond float range too
         raise UsageError(

@@ -289,10 +289,57 @@ def test_memory_guard_sizes_real_entries_at_eight_bytes(monkeypatch, capsys):
 
 
 def test_memory_guard_sizes_the_solved_side(capsys):
-    # m = 108 > n^k = 27: two 27 x 27 matrices plus two 27 x 108 ones, 0.12 MB;
-    # two 108 x 108 ones would be 0.37 MB
+    # m = 108 > n^k = 27: two 27 x 27 matrices, a 27 x 108 strip and its
+    # weighted copy, and the 108 x 3 x 3 base vectors, 0.13 MB; two
+    # 108 x 108 ones would be 0.37 MB
     rc, _, err = run(capsys, *"simulate --n 3 --k 3 --c 4 --trials 1 --mem-limit 1.5e5".split())
     assert rc == 0 and "exceeds limit" not in err
+
+
+def test_memory_guard_charges_a_tall_trial_its_strips_and_base_vectors(capsys):
+    # m = 64,000 > n^k = 64: once estimated at 131 MB for the whole 64 x m
+    # tensor matrix and its weighted copy; now at 12.7 MB, of which the
+    # m x 6 x 2 base vectors take 12.3 MB
+    argv = "simulate --n 2 --k 6 --c 1000 --trials 1 --mem-limit".split()
+    rc, out, err = run(capsys, *argv, "5e7")
+    assert rc == 0 and "exceeds limit" not in err
+    assert out.startswith("simulate n=2 k=6 m=64000 ")
+    rc, out, err = run(capsys, *argv, "1.2e7")
+    assert rc == 2 and out == "" and "exceeds limit" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "--n 3 --k 1 --m 4 --p-max 400 --trials 2",  # means reach 2.5e158, their squares overflow
+    "--n 1 --k 1 --m 1 --tau const:1.2e308 --p-max 1 --trials 2",  # two of them sum past the range
+])
+def test_simulate_report_holds_no_infinity_for_finite_moments(tmp_path, capsys, argv):
+    def refuse(constant):
+        pytest.fail(f"report.json holds {constant}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, _ = run(capsys, "simulate", *argv.split(), "--out", str(tmp_path))
+    assert rc == 0
+    (path,) = tmp_path.glob("*_report.json")
+    report = json.loads(path.read_text(), parse_constant=refuse)
+    assert all(math.isfinite(row["mean"]) and math.isfinite(row["se"]) for row in report["moments"])
+
+
+@pytest.mark.parametrize("argv", [
+    "--n 1 --k 1 --m 1 --tau const:1e15 --trials 2",  # every eigenvalue is 1e15
+    "--n 3 --k 1 --m 1 --tau const:1e15 --trials 3",  # eigenvalues a few ulps apart
+])
+def test_simulate_histograms_a_spectrum_too_narrow_for_default_bins(tmp_path, capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run(capsys, "simulate", *argv.split(), "--out", str(tmp_path))
+    assert rc == 0 and "usage error" not in err
+    (path,) = tmp_path.glob("*_histogram.csv")
+    rows = [line.split(",") for line in path.read_text().strip().split("\n")[2:]]
+    left, right = [float(r[0]) for r in rows[1:]], [float(r[1]) for r in rows[1:]]
+    assert len(rows) == 61 and all(a < b for a, b in zip(left, right))
+    assert left[1:] == right[:-1]
+    assert math.fsum(float(r[2]) for r in rows) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_threads_default_counts_usable_cpus(monkeypatch):

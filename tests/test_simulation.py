@@ -277,6 +277,30 @@ def test_run_trials_single_trial_se_is_zero():
     assert r.moment_ses == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("spec, n, k, m, tau", [
+    ("phase", 3, 2, 4, (1.0,) * 4),
+    ("rademacher", 2, 3, 20, tuple(np.resize([1e-6, 1.0, 1e6, -1e-6], 20))),
+])
+def test_run_trials_scaled_aggregation_equals_plain_mean_and_se(spec, n, k, m, tau):
+    # each column is scaled by a power of two, which is exact in binary
+    r = t.run_trials(n, k, m, EntryDistribution.parse(spec), tau, 6, 5, 3)
+    mat = np.array([o.sample.trace_moments for o in r.outcomes])
+    assert r.moment_means == mat.mean(axis=0).tolist()
+    assert r.moment_ses == (mat.std(axis=0, ddof=1) / math.sqrt(5)).tolist()
+
+
+def test_run_trials_moments_near_the_double_range_aggregate_finitely():
+    # at p = 400 the means reach 2.5e158, whose squares overflow a double;
+    # two trials near 1.2e308 sum to more than the largest double
+    for args in ((3, 1, 4, (1.0,) * 4, 400), (1, 1, 1, (1.2e308,), 1)):
+        n, k, m, tau, P = args
+        r = t.run_trials(n, k, m, t.PHASE, tau, P, 2, 0)
+        assert np.all(np.isfinite(r.moment_means)) and np.all(np.isfinite(r.moment_ses))
+        mat = np.array([o.sample.trace_moments for o in r.outcomes])
+        assert np.all(np.abs(r.moment_means) <= np.abs(mat).max(axis=0))
+    assert max(r.moment_means) == pytest.approx(1.2e308, rel=1e-12)
+
+
 def test_every_solver_refuses_a_wrong_weight_count():
     vecs = simulation.sample_base_vectors(2, 2, 4, t.PHASE, seed=0)
     G = simulation.gram_matrix(vecs)
@@ -310,20 +334,57 @@ def test_histogram_rows_mass_and_atom():
     assert sum(m for _, _, m in rows) == pytest.approx(1.0, abs=1e-12)
 
 
+def _pooled(*values):
+    return [t.SpectrumSample(np.array(values), 0)]
+
+
+def test_histogram_rows_keep_numpy_default_range():
+    for values in ((0.5, 2.0, 3.5), (7.0, 7.0), (1e12, 1e12)):
+        _, edges = np.histogram(values, bins=60)
+        rows = histogram_rows(_pooled(*values))
+        assert [(l, r) for l, r, _ in rows[1:]] == list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+
+@pytest.mark.parametrize("values", [
+    (1e15, 1e15),  # v +- 0.5 cannot hold 60 bins once ulp(v) > 1/60
+    (1e15, 1e15 + 0.125, 1e15 + 0.5),  # a few ulps apart
+    (-3e200,),
+    (1.2e308,),
+    (np.finfo(float).max,) * 2,  # the widened range is clipped to the doubles
+    (-np.finfo(float).max,),
+])
+def test_histogram_rows_widen_a_range_too_narrow_for_the_bins(values):
+    rows = histogram_rows(_pooled(*values))
+    left = np.array([r[0] for r in rows[1:]])
+    right = np.array([r[1] for r in rows[1:]])
+    assert len(rows) == 61 and np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+    assert np.all(left < right) and np.all(left[1:] == right[:-1])
+    assert left[0] <= min(values) and max(values) <= right[-1]
+    assert sum(mass for _, _, mass in rows) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_estimate_gram_bytes(monkeypatch):
     # the Gram side counts two m x m matrices for tau >= 0, four for signed
     # tau, and six for signed tau when numpy's eigh factors H
     for blas, signed in ((object(), 4), (None, 6)):
         monkeypatch.setattr(simulation, "_openblas", lambda blas=blas: blas)
-        assert estimate_gram_bytes(2048, 4096, False) == 16 * 2048 * 2048 * 2
-        assert estimate_gram_bytes(2048, 4096, True) == 16 * 2048 * 2048 * signed
-    # m > n^k: two n^k x n^k matrices, the n^k x m tensor matrix and its weighted copy
+        assert estimate_gram_bytes(2048, 8, 4, False) == 16 * 2048 * 2048 * 2
+        assert estimate_gram_bytes(2048, 8, 4, True) == 16 * 2048 * 2048 * signed
+    # m > n^k: the n^k x n^k buffer and strip product, one n^k x GRAM_STRIP
+    # strip and its weighted copy, and the m x k x n base vectors
+    strip = simulation.GRAM_STRIP
     for signed in (False, True):
-        assert estimate_gram_bytes(8192, 4096, signed) == 16 * (2 * 4096 * 4096 + 2 * 8192 * 4096)
+        assert estimate_gram_bytes(8192, 8, 4, signed) == 16 * (
+            2 * 4096 * 4096 + 2 * 4096 * strip + 8192 * 4 * 8
+        )
+        # a strip holds at most m vectors
+        assert estimate_gram_bytes(5, 2, 2, signed) == 16 * (2 * 4 * 4 + 2 * 4 * 5 + 5 * 2 * 2)
+        # only the base vectors grow with m
+        assert estimate_gram_bytes(10**8, 2, 4, signed) == 16 * (2 * 16 * 16 + 2 * 16 * strip + 10**8 * 8)
         # real (Rademacher) entries take 8 bytes, not 16, on either side
         for m in (2048, 8192):
-            full = estimate_gram_bytes(m, 4096, signed)
-            assert estimate_gram_bytes(m, 4096, signed, real=True) * 2 == full
+            full = estimate_gram_bytes(m, 8, 4, signed)
+            assert estimate_gram_bytes(m, 8, 4, signed, real=True) * 2 == full
 
 
 def _eigh_workspace_bytes(m):
@@ -367,8 +428,8 @@ def test_estimate_covers_the_measured_peak_of_one_trial(monkeypatch, kind):
     finally:
         tracemalloc.stop()
     assert (in_factor[0] > 0) == signed
-    one = 16 * (m * nk if kind == "tensor" else m * m)  # the trial's largest matrix
-    estimate = estimate_gram_bytes(m, nk, signed)
+    one = 16 * (nk * nk if kind == "tensor" else m * m)  # the trial's largest matrix
+    estimate = estimate_gram_bytes(m, n, k, signed)
     assert estimate - one <= peak <= estimate
     if kind == "tau=1":
         assert peak <= 1.5 * one  # G alone, scaled into H and solved in place
@@ -443,6 +504,43 @@ def test_tensor_side_matches_gram_side(spec, c, signed):
     scale = max(1.0, float(np.max(np.abs(want.nonzero_eigenvalues))))
     assert np.max(np.abs(got.nonzero_eigenvalues - want.nonzero_eigenvalues)) <= 1e-12 * scale
     assert got.trace_moments == pytest.approx(want.trace_moments, rel=1e-12, abs=0)
+
+
+def _strip_cases():
+    strip = simulation.GRAM_STRIP
+    for n, k in ((4, 3), (8, 1)):
+        for m in (n**k + 1, strip - 1, strip + 1, 2 * strip + 1):
+            for spec in ("phase", "rademacher"):
+                for signed in (False, True):
+                    label = f"n{n}-k{k}-m{m}-{spec}-{'signed' if signed else 'tau>=0'}"
+                    yield pytest.param(n, k, m, spec, signed, id=label)
+
+
+@pytest.mark.parametrize("n, k, m, spec, signed", _strip_cases())
+def test_tensor_strips_match_the_dense_matrix(n, k, m, spec, signed):
+    # the last strip is partial at every m; k = 1 hands out views of vecs
+    vecs = t.sample_base_vectors(n, k, m, EntryDistribution.parse(spec), seed=m)
+    before = vecs.copy()
+    tau = _signed(m) if signed else np.linspace(0.5, 2.0, m)
+    s = simulation.tensor_esd(vecs, tau, P=4)
+    assert np.array_equal(vecs, before)
+    assert s.total_dimension == n**k
+    deviation, dense = dense_check(s, vecs, tau, P=4)
+    peak = float(np.max(np.abs(s.nonzero_eigenvalues), initial=0.0))
+    assert deviation <= 1e-8 * max(1.0, peak)
+    assert s.trace_moments == pytest.approx(dense, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the fold drops a resolvable eigenvalue")
+def test_tall_fold_keeps_a_resolvable_eigenvalue():
+    # the dense spectrum is full rank: min |lambda| 2.8e-7 against a peak of
+    # 1.8e6, 1.6e-13 of it, below ZERO_TOL yet above the round-off floor
+    vecs = t.sample_base_vectors(2, 3, 20, EntryDistribution.parse("roots:3"), seed=711533)
+    tau = np.resize([1e-6, 1.0, 1e6, -1e-6], 20)
+    lam = np.linalg.eigvalsh(dense_matrix(vecs, tau))
+    assert np.min(np.abs(lam)) > 2e-7
+    s = simulation.tensor_esd(vecs, tau)
+    assert s.zero_multiplicity == 0 and len(s.nonzero_eigenvalues) == 8
 
 
 def test_tensor_side_on_rank_deficient_signed_sample():
